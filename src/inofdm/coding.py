@@ -8,10 +8,17 @@ both endpoints.
 
 The decoder consumes log-likelihood ratios log P(c=0)/P(c=1) (positive LLR
 votes for coded bit 0, matching :func:`inofdm.ofdm.qpsk_llr`) and maximizes
-the correlation metric sum_t (1-2 c_t) llr_t.  Metric ties select the branch
-from the lower-numbered predecessor state - the one whose shifted-out bit is
-0 - so an all-zero-LLR input decodes deterministically to the all-zero
-message.
+the correlation metric sum_t (1-2 c_t) llr_t.  It is a radix-2 butterfly:
+new states 2j and 2j+1 share the predecessors j and j + n_states/2, so path
+metrics held states-major, shape (n_states, rows), give every candidate of
+a step through one broadcast add with no gather of metrics, in the natural
+state order.  A branch from the upper predecessor survives only if its
+candidate is strictly greater, so metric ties select the lower-numbered
+predecessor - the one whose shifted-out bit is 0 - and an all-zero-LLR
+input decodes deterministically to the all-zero message.  A NaN upper
+candidate never wins, so a NaN metric survives only from the lower
+predecessor.  Rows are independent, so decoding stacked blocks in one call
+equals decoding each block alone.
 
 The block interleaver writes row-wise and reads column-wise; lengths shorter
 than rows*cols use the same read-out order restricted to occupied cells, so
@@ -63,8 +70,8 @@ CODE_RATE = 0.5
 
 
 @lru_cache(maxsize=4)
-def _tables(code: ConvCode):
-    """Precompute per-state transition tables.
+def _tables(code: ConvCode) -> np.ndarray:
+    """Precompute the branch output table.
 
     States hold the most recent K-1 input bits, newest in the LSB.  Shifting
     in bit u maps state s to ((s << 1) | u) & (n_states - 1); the register
@@ -73,10 +80,8 @@ def _tables(code: ConvCode):
     bit-reversed to lag order.
 
     Returns:
-        (out_pair, pred0, pred1, sym0, sym1) where out_pair[s, u] is the
-        2-bit output 2*c0 + c1 of the branch (s, u); pred0/pred1 are the two
-        predecessors of each state (pred0 < pred1), and sym0/sym1 the output
-        pairs along those incoming branches.
+        out_pair, shape (n_states, 2), where out_pair[s, u] is the 2-bit
+        output 2*c0 + c1 of the branch leaving state s on input u.
     """
     k = code.constraint_length
     n_states = code.n_states
@@ -91,12 +96,7 @@ def _tables(code: ConvCode):
             c0 = parity[r & masks[0]]
             c1 = parity[r & masks[1]]
             out_pair[s, u] = 2 * c0 + c1
-    states = np.arange(n_states, dtype=np.intp)
-    pred0 = states >> 1
-    pred1 = (states >> 1) | (n_states >> 1)
-    sym0 = out_pair[pred0, states & 1]
-    sym1 = out_pair[pred1, states & 1]
-    return out_pair, pred0, pred1, sym0, sym1
+    return out_pair
 
 
 def conv_encode(bits: np.ndarray, code: ConvCode = DEFAULT_CODE) -> np.ndarray:
@@ -115,7 +115,7 @@ def conv_encode(bits: np.ndarray, code: ConvCode = DEFAULT_CODE) -> np.ndarray:
         raise ValueError("message must contain at least one bit")
     if not np.isin(bits, (0, 1)).all():
         raise ValueError("message bits must be 0 or 1")
-    out_pair, *_ = _tables(code)
+    out_pair = _tables(code)
     lead = bits.shape[:-1]
     m = bits.shape[-1]
     flat = bits.reshape(-1, m).astype(np.intp)
@@ -134,11 +134,25 @@ def conv_encode(bits: np.ndarray, code: ConvCode = DEFAULT_CODE) -> np.ndarray:
 
 def viterbi_decode_soft(llrs: np.ndarray,
                         code: ConvCode = DEFAULT_CODE) -> np.ndarray:
-    """Soft-decision Viterbi decode of a zero-terminated block.
+    """Soft-decision Viterbi decode of zero-terminated blocks.
+
+    All blocks advance together: path metrics are held states-major, shape
+    (n_states, rows), and each trellis step is one butterfly.  Viewed as
+    (2, n_states/2, 1, rows), the metrics of predecessors j (lower half)
+    and j + n_states/2 (upper half) broadcast against a (2, n_states/2, 2,
+    rows) branch increment, so candidate [h, j, u] is the path into new
+    state 2j + u from predecessor half h.  ``hi > lo`` (strict) writes the
+    survivor bits straight into the traceback array: ties and NaN upper
+    candidates keep the lower predecessor.  The new metric equals the
+    survivor's candidate, computed without a select: NaN upper candidates
+    are lowered to -inf, then the larger candidate is kept, so a NaN
+    survives only from the lower one.  Where the candidates tie, the value
+    kept may differ from the survivor's only in the sign of a zero, which
+    no later comparison can see.
 
     Args:
         llrs: Coded-bit LLRs, shape (..., 2*(m + K - 1)); positive means the
-            coded bit is more likely 0.
+            coded bit is more likely 0.  Leading axes are independent blocks.
         code: Code description.
 
     Returns:
@@ -150,33 +164,45 @@ def viterbi_decode_soft(llrs: np.ndarray,
     n_steps = llrs.shape[-1] // 2
     if n_steps <= code.n_tail:
         raise ValueError("block too short for the termination tail")
-    _, pred0, pred1, sym0, sym1 = _tables(code)
     lead = llrs.shape[:-1]
     flat = llrs.reshape(-1, 2 * n_steps)
     n_rows = flat.shape[0]
-    # Correlation metric of each of the four output pairs, per step.
-    sign0 = np.array([1.0, 1.0, -1.0, -1.0])   # 1 - 2*c0 for pair index
-    sign1 = np.array([1.0, -1.0, 1.0, -1.0])   # 1 - 2*c1
-    metric = np.full((n_rows, code.n_states), -np.inf)
-    metric[:, 0] = 0.0
-    choose_hi = np.empty((n_steps, n_rows, code.n_states), dtype=bool)
+    n_states = code.n_states
+    half = n_states // 2
+    # Correlation metric of each output pair 2*c0 + c1, per step and row:
+    # (1 - 2*c0) * llr0 + (1 - 2*c1) * llr1.
+    llr0, llr1 = flat[:, 0::2].T, flat[:, 1::2].T
+    pair_metric = np.empty((n_steps, 4, n_rows))
+    np.add(llr0, llr1, out=pair_metric[:, 0])
+    np.subtract(llr0, llr1, out=pair_metric[:, 1])
+    np.negative(pair_metric[:, 1], out=pair_metric[:, 2])
+    np.negative(pair_metric[:, 0], out=pair_metric[:, 3])
+    branch_pair = _tables(code).reshape(2, half, 2)
+    metric = np.full((n_states, n_rows), -np.inf)
+    metric[0] = 0.0
+    choose_hi = np.empty((n_steps, n_states, n_rows), dtype=bool)
+    cand = np.empty((2, half, 2, n_rows))
+    lo, hi = cand
     for t in range(n_steps):
-        bm = (np.outer(flat[:, 2 * t], sign0)
-              + np.outer(flat[:, 2 * t + 1], sign1))
-        cand_lo = metric[:, pred0] + bm[:, sym0]
-        cand_hi = metric[:, pred1] + bm[:, sym1]
-        take = cand_hi > cand_lo          # ties keep the lower predecessor
-        metric = np.where(take, cand_hi, cand_lo)
-        choose_hi[t] = take
+        np.add(metric.reshape(2, half, 1, n_rows),
+               pair_metric[t][branch_pair], out=cand)
+        np.greater(hi, lo, out=choose_hi[t].reshape(half, 2, n_rows))
+        # np.where measured several times slower than these two passes on
+        # each step's fresh survivor mask.
+        np.fmax(hi, -np.inf, out=hi)
+        metric = np.maximum(hi, lo).reshape(n_states, n_rows)
+    # Trace back from state 0; survivor bit of (state, row) at flat
+    # index state * n_rows + row of its step.
+    choose_hi = choose_hi.reshape(n_steps, n_states * n_rows)
     rows = np.arange(n_rows)
     state = np.zeros(n_rows, dtype=np.intp)
     decoded = np.empty((n_rows, n_steps), dtype=np.uint8)
-    high_bit = code.n_states >> 1
     for t in range(n_steps - 1, -1, -1):
         decoded[:, t] = state & 1
-        came_hi = choose_hi[t][rows, state]
-        state = (state >> 1) | np.where(came_hi, high_bit, 0)
-    return decoded[:, :n_steps - code.n_tail].reshape(lead + (n_steps - code.n_tail,))
+        came_hi = choose_hi[t].take(state * n_rows + rows)
+        state = (state >> 1) | (came_hi * half)
+    m = n_steps - code.n_tail
+    return decoded[:, :m].reshape(lead + (m,))
 
 
 # ---------------------------------------------------------------------------

@@ -190,12 +190,15 @@ def receiver_stream_labels(cfg: ExperimentConfig,
     return batch.labels[:, cfg.ofdm.cp_len:]
 
 
-def receive_batch(cfg: ExperimentConfig, batch: SymbolBatch,
-                  policy: MitigationPolicy) -> np.ndarray:
-    """Decode a simulated batch under one mitigation policy.
+def receive_llrs(cfg: ExperimentConfig, batch: SymbolBatch,
+                 policy: MitigationPolicy) -> np.ndarray:
+    """Receiver front end under one mitigation policy, up to the decoder.
+
+    Mitigation, DFT, channel estimate, equalization, per-bit LLRs and the
+    bit deinterleaver.
 
     Returns:
-        Decoded message bits, shape matching ``batch.tx_bits``.
+        Coded-bit LLRs in encoder order, shape (B, 2 * n_data).
     """
     cleaned = mitigate(receiver_stream(cfg, batch), policy)
     if cfg.time_interleaver is not None:
@@ -215,7 +218,17 @@ def receive_batch(cfg: ExperimentConfig, batch: SymbolBatch,
     llrs = qpsk_llr(eq, base * noise_scale)
     if cfg.tx_interleaver is not None:
         llrs = deinterleave(llrs, cfg.tx_interleaver)
-    return viterbi_decode_soft(llrs)
+    return llrs
+
+
+def receive_batch(cfg: ExperimentConfig, batch: SymbolBatch,
+                  policy: MitigationPolicy) -> np.ndarray:
+    """Decode a simulated batch under one mitigation policy.
+
+    Returns:
+        Decoded message bits, shape matching ``batch.tx_bits``.
+    """
+    return viterbi_decode_soft(receive_llrs(cfg, batch, policy))
 
 
 def run_link_once(cfg: ExperimentConfig, policy: MitigationPolicy,
@@ -226,17 +239,6 @@ def run_link_once(cfg: ExperimentConfig, policy: MitigationPolicy,
     batch = simulate_batch(cfg, point, 1, rng)
     decoded = receive_batch(cfg, batch, policy)
     return batch.tx_bits[0], decoded[0]
-
-
-def run_link_once_named(cfg: ExperimentConfig, policy_name: str,
-                        rng: np.random.Generator,
-                        params: Optional[MlpParams] = None,
-                        ebn0_db: Optional[float] = None
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """Convenience wrapper: build the named policy and run it at the point."""
-    point = cfg.ebn0_db[0] if ebn0_db is None else ebn0_db
-    policy = build_policy(cfg, policy_name, params)
-    return run_link_once(cfg, policy, rng, ebn0_db=point)
 
 
 def assumed_clean_power(cfg: ExperimentConfig, ebn0_db: float) -> float:
@@ -361,7 +363,8 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
     """Paired Monte Carlo BER curves for every configured policy.
 
     All policies at a grid point decode the *same* batches (common random
-    numbers).  Each point accumulates whole batches until every policy has
+    numbers); each batch's LLR rows of every policy go through one decoder
+    call.  Each point accumulates whole batches until every policy has
     at least ``cfg.min_errors`` bit errors or ``cfg.max_bits`` information
     bits have been simulated, whichever comes first.
     """
@@ -379,9 +382,11 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
             rng = np.random.default_rng(np.random.SeedSequence(
                 (cfg.seed, _TAG_SWEEP, point_idx, batch_idx)))
             batch = simulate_batch(cfg, ebn0, BATCH_SYMBOLS, rng)
-            for name, policy in policies.items():
-                decoded = receive_batch(cfg, batch, policy)
-                errors[name] += int(np.sum(decoded != batch.tx_bits))
+            decoded = viterbi_decode_soft(np.concatenate(
+                [receive_llrs(cfg, batch, p) for p in policies.values()]))
+            for name, policy_bits in zip(policies,
+                                         np.split(decoded, len(policies))):
+                errors[name] += int(np.sum(policy_bits != batch.tx_bits))
             bits += BATCH_SYMBOLS * m
             batch_idx += 1
             if bits >= cfg.max_bits or min(errors.values()) >= cfg.min_errors:

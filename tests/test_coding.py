@@ -34,6 +34,70 @@ def reference_encode(bits, generators=(0o171, 0o133), k=7):
     return np.array(out, dtype=np.uint8)
 
 
+def reference_viterbi(llrs, generators=(0o171, 0o133), k=7):
+    """Per-step soft Viterbi decoder with rows-major metrics (oracle).
+
+    Each step gathers the metrics of every state's two predecessors and
+    keeps the upper one only on a strictly greater candidate, so ties and
+    NaN upper candidates keep the lower predecessor.
+    """
+    n_states = 1 << (k - 1)
+    taps = [[(g >> (k - 1 - j)) & 1 for j in range(k)] for g in generators]
+    out_pair = np.zeros((n_states, 2), dtype=np.intp)
+    for s in range(n_states):
+        for u in (0, 1):
+            register = [u] + [(s >> j) & 1 for j in range(k - 1)]
+            c0, c1 = (sum(t * r for t, r in zip(tap, register)) % 2
+                      for tap in taps)
+            out_pair[s, u] = 2 * c0 + c1
+    states = np.arange(n_states)
+    pred0 = states >> 1
+    pred1 = pred0 | (n_states >> 1)
+    sym0 = out_pair[pred0, states & 1]
+    sym1 = out_pair[pred1, states & 1]
+    llrs = np.asarray(llrs, dtype=float)
+    n_steps = llrs.shape[-1] // 2
+    lead = llrs.shape[:-1]
+    flat = llrs.reshape(-1, 2 * n_steps)
+    n_rows = flat.shape[0]
+    sign0 = np.array([1.0, 1.0, -1.0, -1.0])
+    sign1 = np.array([1.0, -1.0, 1.0, -1.0])
+    metric = np.full((n_rows, n_states), -np.inf)
+    metric[:, 0] = 0.0
+    choose_hi = np.empty((n_steps, n_rows, n_states), dtype=bool)
+    for t in range(n_steps):
+        bm = (np.outer(flat[:, 2 * t], sign0)
+              + np.outer(flat[:, 2 * t + 1], sign1))
+        cand_lo = metric[:, pred0] + bm[:, sym0]
+        cand_hi = metric[:, pred1] + bm[:, sym1]
+        take = cand_hi > cand_lo
+        metric = np.where(take, cand_hi, cand_lo)
+        choose_hi[t] = take
+    rows = np.arange(n_rows)
+    state = np.zeros(n_rows, dtype=np.intp)
+    decoded = np.empty((n_rows, n_steps), dtype=np.uint8)
+    for t in range(n_steps - 1, -1, -1):
+        decoded[:, t] = state & 1
+        came_hi = choose_hi[t][rows, state]
+        state = (state >> 1) | np.where(came_hi, n_states >> 1, 0)
+    m = n_steps - (k - 1)
+    return decoded[:, :m].reshape(lead + (m,))
+
+
+def random_llrs(rng, shape, kind):
+    """LLR blocks of one kind: Gaussian, integer-valued (metric ties),
+    all-zero, or Gaussian with scattered +-inf and NaN entries."""
+    if kind == "integer":
+        return rng.integers(-2, 3, size=shape).astype(float)
+    if kind == "zero":
+        return np.zeros(shape)
+    llrs = 4.0 * rng.standard_normal(shape)
+    if kind == "nonfinite":
+        hits = rng.random(shape) < 0.02
+        llrs[hits] = rng.choice([np.inf, -np.inf, np.nan], size=hits.sum())
+    return llrs
+
+
 def test_all_zero_message_encodes_to_zero():
     np.testing.assert_array_equal(conv_encode(np.zeros(20, dtype=np.uint8)), 0)
 
@@ -143,6 +207,31 @@ class TestViterbi:
             viterbi_decode_soft(np.zeros(13))   # odd
         with pytest.raises(ValueError):
             viterbi_decode_soft(np.zeros(12))   # only tail, no message
+
+    @given(lead=st.sampled_from([(), (0,), (1,), (31,), (128,), (2, 3)]),
+           m=st.integers(1, 40),
+           kind=st.sampled_from(["gaussian", "integer", "zero", "nonfinite"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_decoder_bit_for_bit(self, lead, m, kind, seed):
+        llrs = random_llrs(np.random.default_rng(seed),
+                           lead + (2 * (m + DEFAULT_CODE.n_tail),), kind)
+        with np.errstate(invalid="ignore"):
+            decoded = viterbi_decode_soft(llrs)
+            expected = reference_viterbi(llrs)
+        assert decoded.shape == lead + (m,)
+        assert decoded.dtype == expected.dtype
+        np.testing.assert_array_equal(decoded, expected)
+
+    def test_stacked_rows_decode_as_each_row_alone(self):
+        rng = np.random.default_rng(7)
+        n = 2 * (60 + DEFAULT_CODE.n_tail)
+        llrs = np.concatenate([random_llrs(rng, (8, n), kind) for kind in
+                               ("gaussian", "integer", "zero", "nonfinite")])
+        with np.errstate(invalid="ignore"):
+            stacked = viterbi_decode_soft(llrs)
+            alone = np.stack([viterbi_decode_soft(row) for row in llrs])
+        np.testing.assert_array_equal(stacked, alone)
 
     def test_coded_beats_uncoded_on_awgn(self):
         """Rate-1/2 coding wins at Eb/N0 = 5 dB over ~1e5 information bits."""

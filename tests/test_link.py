@@ -356,6 +356,37 @@ def test_sweep_policies_share_realizations():
     assert (p_alone.errors, p_alone.bits) == (p_paired.errors, p_paired.bits)
 
 
+@pytest.mark.parametrize("chain", [
+    {},
+    {"interleaver.time_enabled": True, "interleaver.time_rows": 8,
+     "interleaver.time_cols": 18},
+], ids=["plain", "time_interleaved"])
+def test_sweep_counts_equal_per_policy_receive_batch(chain):
+    # The sweep decodes every policy's rows of a batch in one call; each
+    # policy's counts must still be those of decoding its own rows alone.
+    n_batches = 3
+    batch_bits = link.BATCH_SYMBOLS * link.bits_per_symbol(small_config())
+    cfg = small_config(**chain, **{
+        "noise.epsilon": 0.05, "grid.ebn0_db": "6,10",
+        "sweep.policies": "none,bln,clp", "sweep.min_errors": 10 ** 9,
+        "sweep.max_bits": n_batches * batch_bits})
+    curves = link.ber_sweep(cfg)
+    for point_idx, ebn0 in enumerate(cfg.ebn0_db):
+        expected = dict.fromkeys(cfg.policies, 0)
+        for batch_idx in range(n_batches):
+            rng = np.random.default_rng(np.random.SeedSequence(
+                (cfg.seed, link._TAG_SWEEP, point_idx, batch_idx)))
+            batch = link.simulate_batch(cfg, ebn0, link.BATCH_SYMBOLS, rng)
+            for name in cfg.policies:
+                decoded = link.receive_batch(cfg, batch,
+                                             link.build_policy(cfg, name))
+                expected[name] += int(np.sum(decoded != batch.tx_bits))
+        points = [curves[name].points[point_idx] for name in cfg.policies]
+        assert [p.bits for p in points] == [n_batches * batch_bits] * 3
+        assert [p.errors for p in points] == list(expected.values())
+        assert len(set(expected.values())) > 1   # a row mix-up would show
+
+
 def test_sweep_budget_stops_after_whole_batches():
     cfg = small_config(**{"grid.ebn0_db": "8", "sweep.policies": "none",
                           "sweep.min_errors": 1, "sweep.max_bits": 1})
