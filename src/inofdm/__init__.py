@@ -9,44 +9,4 @@ symmetric alpha-stable), a rate-1/2 convolutionally coded QPSK/OFDM link,
 and a paired Monte Carlo BER harness.
 """
 
-from .coding import (CODE_RATE, DEFAULT_CODE, ConvCode, InterleaverSpec,
-                     conv_encode, deinterleave, interleave,
-                     viterbi_decode_soft)
-from .config import ExperimentConfig, build_config, config_digest, load_config
-from .dnn import (MlpParams, TrainConfig, classify, load_model, predict_proba,
-                  save_model, train)
-from .features import (FeatureNormalizer, apply_normalizer, extract_features,
-                       fit_normalizer, read_dataset, write_dataset)
-from .link import (BerCurve, BerPoint, ber_sweep, build_policy,
-                   detection_rates, generate_dataset, read_curve_csv,
-                   run_link_once, simulate_batch, write_curve_csv)
-from .mitigation import (Blank, Clip, DnnDetector, MitigationPolicy,
-                         ThresholdDetector, blank, clip,
-                         estimate_clean_power, np_threshold, threshold_detect)
-from .noise_models import (BGNoise, MCANoise, SASNoise, mixture_pdf,
-                           sample_noise)
-from .ofdm import (ChannelProfile, ChannelRealization, OfdmConfig,
-                   channel_apply, channel_generate, equalize,
-                   estimate_channel, make_config, ofdm_demodulate,
-                   ofdm_modulate, qpsk_hard, qpsk_llr, qpsk_map)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BGNoise", "BerCurve", "BerPoint", "Blank", "CODE_RATE",
-    "ChannelProfile", "ChannelRealization", "Clip", "ConvCode",
-    "DEFAULT_CODE", "DnnDetector", "ExperimentConfig", "FeatureNormalizer",
-    "InterleaverSpec", "MCANoise", "MitigationPolicy", "MlpParams",
-    "OfdmConfig", "SASNoise", "ThresholdDetector", "TrainConfig",
-    "apply_normalizer", "ber_sweep", "blank", "build_config", "build_policy",
-    "channel_apply", "channel_generate", "classify", "clip", "config_digest",
-    "conv_encode", "deinterleave", "detection_rates", "equalize",
-    "estimate_channel", "estimate_clean_power", "extract_features",
-    "fit_normalizer", "generate_dataset", "interleave", "load_config",
-    "load_model", "make_config", "mixture_pdf", "np_threshold",
-    "ofdm_demodulate", "ofdm_modulate", "predict_proba", "qpsk_hard",
-    "qpsk_llr", "qpsk_map", "read_curve_csv", "read_dataset",
-    "run_link_once", "sample_noise", "save_model", "simulate_batch",
-    "threshold_detect", "train", "viterbi_decode_soft", "write_curve_csv",
-    "write_dataset",
-]

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional
 from . import config as config_mod
 from . import dnn, link
 from .features import read_dataset, write_dataset
-from .mitigation import DnnDetector, ThresholdDetector
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -84,13 +83,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.epsilon is not None:
         extra["noise.epsilon"] = str(args.epsilon)
     cfg = _load(args, extra)
+    params = None
     if args.detector == "dnn":
         if args.model is None:
             raise ValueError("--model is required for the network detector")
         params = dnn.load_model(args.model)
-        detector = DnnDetector(params=params, half_width=cfg.half_width)
-    else:
-        detector = ThresholdDetector(p_fa=cfg.p_fa)
+    name = "dnn" if args.detector == "dnn" else "bln"
+    detector = link.build_policy(cfg, name, params).detector
     ebn0 = args.ebn0 if args.ebn0 is not None else cfg.ebn0_db[0]
     report = link.detection_rates(cfg, detector, ebn0, n_symbols=args.symbols)
     print(f"detector={args.detector} ebn0_db={ebn0:g}")

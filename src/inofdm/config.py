@@ -18,7 +18,9 @@ noise.a f, noise.gamma f, noise.j_trunc i                   (mca)
 noise.alpha f, noise.beta f, noise.scale f, noise.loc f     (sas)
 grid.ebn0_db f*
 sweep.policies s (comma list of none|bln|clp|dnn|dnn-clp)
-sweep.p_fa f, sweep.min_errors i, sweep.max_bits i, sweep.perfect_csi b
+sweep.p_fa f (in (0, 1): the false-alarm rate of the per-block
+    Neyman-Pearson level that sets the blanking level and every clip ceiling)
+sweep.min_errors i, sweep.max_bits i, sweep.perfect_csi b
 interleaver.tx_enabled b, interleaver.tx_rows i, interleaver.tx_cols i
 interleaver.time_enabled b, interleaver.time_rows i, interleaver.time_cols i
 detector.half_width i
@@ -152,6 +154,9 @@ def resolve_config(file_values: Optional[Mapping[str, str]] = None,
     model = typed["noise.model"]
     if model not in _NOISE_MODELS:
         raise ValueError(f"config key 'noise.model': must be one of {_NOISE_MODELS}")
+    if not 0.0 < typed["sweep.p_fa"] < 1.0:
+        raise ValueError("config key 'sweep.p_fa': must be in (0, 1), "
+                         f"got {typed['sweep.p_fa']}")
     for name in str(typed["sweep.policies"]).split(","):
         if name.strip() not in _POLICY_NAMES:
             raise ValueError(

@@ -258,10 +258,9 @@ def predict_proba(params: MlpParams, features_raw: np.ndarray) -> np.ndarray:
     return forward(params, x).reshape(lead)
 
 
-def classify(params: MlpParams, features_raw: np.ndarray,
-             threshold: float = 0.5) -> np.ndarray:
-    """Hard impulse decisions; probability >= threshold maps to 1."""
-    return (predict_proba(params, features_raw) >= threshold).astype(np.uint8)
+def classify(params: MlpParams, features_raw: np.ndarray) -> np.ndarray:
+    """Hard impulse decisions; probability >= 0.5 maps to 1."""
+    return (predict_proba(params, features_raw) >= 0.5).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

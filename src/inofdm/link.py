@@ -231,29 +231,6 @@ def receive_batch(cfg: ExperimentConfig, batch: SymbolBatch,
     return viterbi_decode_soft(receive_llrs(cfg, batch, policy))
 
 
-def run_link_once(cfg: ExperimentConfig, policy: MitigationPolicy,
-                  rng: np.random.Generator,
-                  ebn0_db: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """One OFDM symbol through the whole chain; returns (sent, decoded) bits."""
-    point = cfg.ebn0_db[0] if ebn0_db is None else ebn0_db
-    batch = simulate_batch(cfg, point, 1, rng)
-    decoded = receive_batch(cfg, batch, policy)
-    return batch.tx_bits[0], decoded[0]
-
-
-def assumed_clean_power(cfg: ExperimentConfig, ebn0_db: float) -> float:
-    """Model-implied average clean received power at an operating point.
-
-    Signal power plus the Gaussian background the configured noise model
-    exhibits at this Eb/N0.  A reference figure for calibration studies;
-    the sweep's threshold policies deliberately do not use it (a fixed
-    average-power level over-blanks faded-up symbols), relying on the
-    per-block robust estimate instead.
-    """
-    spec = noise_spec_for(cfg, ebn0_db)
-    return signal_power(cfg) + gaussian_equivalent_power(spec)
-
-
 def build_policy(cfg: ExperimentConfig, name: str,
                  params: Optional[MlpParams] = None) -> MitigationPolicy:
     """Instantiate one of the named policies.
@@ -264,21 +241,21 @@ def build_policy(cfg: ExperimentConfig, name: str,
     their level from the robust per-block power estimate rather than the
     model-implied average: with per-symbol fading a fixed average-power
     level over-blanks strong symbols and floors the curve near 1e-2, and
-    a practical receiver tracks its own front-end level anyway.
+    a practical receiver tracks its own front-end level anyway.  Every clip
+    ceiling is that per-block level at the configured false-alarm rate.
     """
     if name == "none":
         return MitigationPolicy(None, Blank(), name="none")
     if name in ("bln", "clp"):
         detector = ThresholdDetector(p_fa=cfg.p_fa)
-        suppressor = Blank() if name == "bln" else Clip()
-        return MitigationPolicy(detector, suppressor, name=name)
-    if name in ("dnn", "dnn-clp"):
+    elif name in ("dnn", "dnn-clp"):
         if params is None:
             raise ValueError(f"policy {name!r} needs trained model parameters")
         detector = DnnDetector(params=params, half_width=cfg.half_width)
-        suppressor = Blank() if name == "dnn" else Clip()
-        return MitigationPolicy(detector, suppressor, name=name)
-    raise ValueError(f"unknown policy {name!r}")
+    else:
+        raise ValueError(f"unknown policy {name!r}")
+    suppressor = Clip(p_fa=cfg.p_fa) if name.endswith("clp") else Blank()
+    return MitigationPolicy(detector, suppressor, name=name)
 
 
 # ---------------------------------------------------------------------------

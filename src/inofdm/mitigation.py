@@ -4,17 +4,16 @@ A detector turns a block of received time-domain samples into a 0/1 mask;
 a suppressor rewrites the flagged samples.  Any detector composes with any
 suppressor through :class:`MitigationPolicy`:
 
-* threshold detector - flags |r| above a fixed level, or above the
-  Neyman-Pearson level sqrt(-sigma2_clean * ln p_fa); sigma2_clean is
-  either supplied by the caller (the classic receiver computes it from
-  its assumed Gaussian signal-plus-background model) or, failing that,
-  estimated robustly per block (median of |r|^2 over ln 2, exact for
-  Rayleigh envelopes and insensitive to a minority of impulses);
+* threshold detector - flags |r| above the per-block Neyman-Pearson level
+  sqrt(-sigma2 * ln p_fa), where sigma2 is the block's robust clean-power
+  estimate (median of |r|^2 over ln 2, exact for Rayleigh envelopes and
+  insensitive to a minority of impulses);
 * network detector - the trained classifier of :mod:`inofdm.dnn` over the
   window features of :mod:`inofdm.features`;
 * blanking - flagged samples are zeroed;
-* clipping - flagged samples are clamped to a magnitude ceiling, phase
-  preserved; flagged samples already at or below the ceiling pass through.
+* clipping - flagged samples are clamped to the same per-block
+  Neyman-Pearson level, phase preserved; flagged samples already at or
+  below it pass through.
 
 All sample functions accept leading batch dimensions (blocks on the last
 axis).
@@ -30,10 +29,6 @@ import numpy as np
 
 from . import dnn
 from .features import DEFAULT_HALF_WIDTH, extract_features
-
-#: False-alarm rate used whenever a policy needs a threshold level and the
-#: caller did not fix one.
-DEFAULT_P_FA = 0.01
 
 
 def np_threshold(sigma2_clean: float, p_fa: float) -> float:
@@ -55,12 +50,15 @@ def estimate_clean_power(samples: np.ndarray) -> np.ndarray:
 
     median(|r|^2) / ln 2 along the last axis: the median of an exponential
     with mean sigma2 is sigma2 ln 2, and the median barely moves when a
-    small fraction of samples is contaminated.
+    small fraction of samples is contaminated.  Floored at the smallest
+    normal float, so a block whose median sample is zero (all-zero, or a
+    majority of zeros) still gets a positive power.
     """
     samples = np.asarray(samples)
     if samples.shape[-1] < 1:
         raise ValueError("need at least one sample")
-    return np.median(np.abs(samples) ** 2, axis=-1) / math.log(2.0)
+    power = np.median(np.abs(samples) ** 2, axis=-1) / math.log(2.0)
+    return np.maximum(power, np.finfo(float).tiny)
 
 
 def threshold_detect(samples: np.ndarray, threshold) -> np.ndarray:
@@ -80,66 +78,49 @@ def blank(samples: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask == 1, 0.0 + 0.0j, samples)
 
 
-def clip(samples: np.ndarray, mask: np.ndarray, level: float) -> np.ndarray:
+def clip(samples: np.ndarray, mask: np.ndarray, level) -> np.ndarray:
     """Clamp flagged samples to magnitude ``level``, preserving phase.
 
-    Flagged samples with |r| <= level are returned unchanged (clamp
-    semantics); unflagged samples always pass through.
+    ``level`` is a scalar or broadcasts against ``samples``, e.g. one level
+    per block with shape (..., 1).  Flagged samples with |r| <= level are
+    returned unchanged (clamp semantics); unflagged samples always pass
+    through.
     """
-    if level <= 0.0:
+    if np.any(np.asarray(level) <= 0.0):
         raise ValueError("clip level must be strictly positive")
     samples = np.asarray(samples)
     mask = np.asarray(mask)
     if mask.shape != samples.shape:
         raise ValueError("mask shape must match samples")
+    level = np.broadcast_to(level, samples.shape)
     mags = np.abs(samples)
     shrink = (mask == 1) & (mags > level)
     out = samples.astype(complex, copy=True)
-    out[shrink] *= level / mags[shrink]
+    out[shrink] *= level[shrink] / mags[shrink]
     return out
 
 
 @dataclass(frozen=True)
 class ThresholdDetector:
-    """Magnitude-threshold detection.
+    """Flags |r| above the per-block Neyman-Pearson level at ``p_fa``."""
 
-    The level is resolved in precedence order:
-
-    1. ``threshold`` - a fixed absolute level;
-    2. ``sigma2_clean`` - the Neyman-Pearson level at ``p_fa`` computed
-       from this *assumed* clean power.  This is the classic receiver: it
-       trusts its Gaussian signal-plus-background model, so a model
-       mismatch (heavier tails, fading power swings) miscalibrates it;
-    3. neither - the level is derived per block from the robust in-situ
-       power estimate at ``p_fa``.
-    """
-
-    p_fa: float = DEFAULT_P_FA
-    threshold: Optional[float] = None
-    sigma2_clean: Optional[float] = None
+    p_fa: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p_fa < 1.0:
             raise ValueError("p_fa must be in (0, 1)")
-        if self.threshold is not None and self.threshold <= 0.0:
-            raise ValueError("fixed threshold must be strictly positive")
-        if self.sigma2_clean is not None and self.sigma2_clean <= 0.0:
-            raise ValueError("sigma2_clean must be strictly positive")
 
 
 @dataclass(frozen=True, eq=False)
 class DnnDetector:
-    """Feature-network detection with a decision threshold on the output."""
+    """Feature-network detection; a probability of 0.5 or more flags."""
 
     params: dnn.MlpParams
     half_width: int = DEFAULT_HALF_WIDTH
-    threshold: float = 0.5
 
     def __post_init__(self) -> None:
         if self.half_width < 1:
             raise ValueError("half_width must be at least 1")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("decision threshold must be in (0, 1)")
 
 
 Detector = Union[ThresholdDetector, DnnDetector]
@@ -152,18 +133,13 @@ class Blank:
 
 @dataclass(frozen=True)
 class Clip:
-    """Suppress flagged samples by magnitude clamping.
+    """Clamp flagged samples to the per-block Neyman-Pearson level at p_fa."""
 
-    ``level=None`` reuses the detection threshold when the detector is
-    threshold-based, otherwise the Neyman-Pearson level at
-    :data:`DEFAULT_P_FA` from the block's robust power estimate.
-    """
-
-    level: Optional[float] = None
+    p_fa: float
 
     def __post_init__(self) -> None:
-        if self.level is not None and self.level <= 0.0:
-            raise ValueError("clip level must be strictly positive")
+        if not 0.0 < self.p_fa < 1.0:
+            raise ValueError("p_fa must be in (0, 1)")
 
 
 Suppressor = Union[Blank, Clip]
@@ -178,14 +154,10 @@ class MitigationPolicy:
     name: str = ""
 
 
-def _block_threshold(samples: np.ndarray, detector: ThresholdDetector):
-    """Per-block detection level, broadcastable over the last axis."""
-    if detector.threshold is not None:
-        return detector.threshold
-    if detector.sigma2_clean is not None:
-        return np_threshold(detector.sigma2_clean, detector.p_fa)
-    sigma2 = estimate_clean_power(samples)
-    return np.asarray(np_threshold(sigma2, detector.p_fa))[..., None]
+def _block_threshold(samples: np.ndarray, p_fa: float) -> np.ndarray:
+    """Per-block Neyman-Pearson level at p_fa, shape (..., 1)."""
+    level = np_threshold(estimate_clean_power(samples), p_fa)
+    return np.asarray(level)[..., None]
 
 
 def detector_features(samples: np.ndarray, half_width: int) -> np.ndarray:
@@ -199,7 +171,7 @@ def detector_features(samples: np.ndarray, half_width: int) -> np.ndarray:
     of being pinned to the levels seen during training.
     """
     samples = np.asarray(samples)
-    power = np.maximum(estimate_clean_power(samples), np.finfo(float).tiny)
+    power = estimate_clean_power(samples)
     return extract_features(samples / np.sqrt(power)[..., None], n=half_width)
 
 
@@ -207,10 +179,11 @@ def detect(samples: np.ndarray, detector: Detector) -> np.ndarray:
     """Run a detector over blocks, returning the 0/1 impulse mask."""
     samples = np.asarray(samples)
     if isinstance(detector, ThresholdDetector):
-        return threshold_detect(samples, _block_threshold(samples, detector))
+        level = _block_threshold(samples, detector.p_fa)
+        return threshold_detect(samples, level)
     if isinstance(detector, DnnDetector):
         feats = detector_features(samples, detector.half_width)
-        return dnn.classify(detector.params, feats, threshold=detector.threshold)
+        return dnn.classify(detector.params, feats)
     raise TypeError(f"unknown detector {type(detector).__name__}")
 
 
@@ -223,19 +196,6 @@ def mitigate(samples: np.ndarray, policy: MitigationPolicy) -> np.ndarray:
     if isinstance(policy.suppressor, Blank):
         return blank(samples, mask)
     if isinstance(policy.suppressor, Clip):
-        level = policy.suppressor.level
-        if level is not None:
-            return clip(samples, mask, level)
-        if isinstance(policy.detector, ThresholdDetector):
-            levels = np.asarray(_block_threshold(samples, policy.detector))
-        else:
-            levels = np.asarray(
-                np_threshold(estimate_clean_power(samples), DEFAULT_P_FA))[..., None]
-        # Same clamp as clip(), but with a per-block level.
-        lvl = np.broadcast_to(levels, samples.shape)
-        mags = np.abs(samples)
-        shrink = (mask == 1) & (mags > lvl)
-        out = samples.astype(complex, copy=True)
-        out[shrink] *= lvl[shrink] / mags[shrink]
-        return out
+        level = _block_threshold(samples, policy.suppressor.p_fa)
+        return clip(samples, mask, level)
     raise TypeError(f"unknown suppressor {type(policy.suppressor).__name__}")

@@ -10,8 +10,8 @@ weights/variances for density evaluation.  The symmetric alpha-stable model
 has no density in closed form and no per-sample ground truth; its sampler
 returns ``labels=None``.
 
-Random state is always an explicit ``numpy.random.Generator`` (or an integer
-seed from which one is built); there is no module-level RNG.
+Random state is always an explicit ``numpy.random.Generator``; there is no
+module-level RNG.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ import numpy as np
 #: Minimum pre-truncation probability mass the retained Class A terms must
 #: carry; construction fails below this.
 MCA_MIN_MASS = 0.999
-
-
-def _resolve_rng(rng: Union[int, np.random.Generator]) -> Tuple[np.random.Generator, Optional[int]]:
-    """Return a Generator plus the integer seed when one was given."""
-    if isinstance(rng, np.random.Generator):
-        return rng, None
-    return np.random.default_rng(rng), int(rng)
 
 
 @dataclass(frozen=True)
@@ -141,15 +134,10 @@ class LabeledNoiseBlock:
         samples: Complex noise samples, shape (count,).
         labels: uint8 array, 1 where an impulse is present, 0 otherwise.
             ``None`` for stable noise, which has no impulse indicator.
-        spec: The generating parameter set.
-        seed: Integer seed the block was drawn from, or ``None`` when the
-            caller supplied a live Generator.
     """
 
     samples: np.ndarray
     labels: Optional[np.ndarray]
-    spec: NoiseSpec
-    seed: Optional[int]
 
 
 def mca_component(overlap_a: float, gamma: float, sigma_n2: float,
@@ -213,28 +201,26 @@ def complex_gaussian(rng: np.random.Generator, count: int, sigma2) -> np.ndarray
 
 
 def sample_bg(spec: BGNoise, count: int,
-              rng: Union[int, np.random.Generator]) -> LabeledNoiseBlock:
+              rng: np.random.Generator) -> LabeledNoiseBlock:
     """Draw Bernoulli-Gaussian noise with per-sample impulse labels."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    gen, seed = _resolve_rng(rng)
-    labels = (gen.random(count) < spec.epsilon).astype(np.uint8)
+    labels = (rng.random(count) < spec.epsilon).astype(np.uint8)
     sigma2 = np.where(labels == 1, spec.sigma_w2 + spec.sigma_i2, spec.sigma_w2)
-    samples = complex_gaussian(gen, count, sigma2)
-    return LabeledNoiseBlock(samples, labels, spec, seed)
+    samples = complex_gaussian(rng, count, sigma2)
+    return LabeledNoiseBlock(samples, labels)
 
 
 def sample_mca(spec: MCANoise, count: int,
-               rng: Union[int, np.random.Generator]) -> LabeledNoiseBlock:
+               rng: np.random.Generator) -> LabeledNoiseBlock:
     """Draw Middleton Class A noise; label 1 marks any term with j >= 1."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    gen, seed = _resolve_rng(rng)
     weights, variances = mixture_weights(spec)
-    term = gen.choice(spec.j_trunc, size=count, p=weights)
-    samples = complex_gaussian(gen, count, variances[term])
+    term = rng.choice(spec.j_trunc, size=count, p=weights)
+    samples = complex_gaussian(rng, count, variances[term])
     labels = (term >= 1).astype(np.uint8)
-    return LabeledNoiseBlock(samples, labels, spec, seed)
+    return LabeledNoiseBlock(samples, labels)
 
 
 def standard_stable(alpha: float, beta: float, u: np.ndarray,
@@ -260,7 +246,7 @@ def standard_stable(alpha: float, beta: float, u: np.ndarray,
 
 
 def sample_sas(spec: SASNoise, count: int,
-               rng: Union[int, np.random.Generator]) -> LabeledNoiseBlock:
+               rng: np.random.Generator) -> LabeledNoiseBlock:
     """Draw complex stable noise, independent stable real and imaginary parts.
 
     Each component is scale * X + loc with X a unit-scale stable variate (for
@@ -269,11 +255,10 @@ def sample_sas(spec: SASNoise, count: int,
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    gen, seed = _resolve_rng(rng)
     parts = []
     for _ in range(2):
-        u = (gen.random(count) - 0.5) * np.pi
-        w = gen.exponential(1.0, count)
+        u = (rng.random(count) - 0.5) * np.pi
+        w = rng.exponential(1.0, count)
         x = standard_stable(spec.alpha, spec.beta, u, w)
         if abs(spec.alpha - 1.0) < 1e-12:
             shift = spec.loc + 2.0 / np.pi * spec.beta * spec.scale * math.log(spec.scale)
@@ -281,11 +266,11 @@ def sample_sas(spec: SASNoise, count: int,
             shift = spec.loc
         parts.append(spec.scale * x + shift)
     samples = parts[0] + 1j * parts[1]
-    return LabeledNoiseBlock(samples, None, spec, seed)
+    return LabeledNoiseBlock(samples, None)
 
 
 def sample_bursty(spec: BGNoise, burst_len: int, count: int,
-                  rng: Union[int, np.random.Generator]) -> LabeledNoiseBlock:
+                  rng: np.random.Generator) -> LabeledNoiseBlock:
     """Draw Bernoulli-Gaussian noise whose impulses arrive in bursts.
 
     Burst starts are Bernoulli with rate ``epsilon / burst_len`` and each
@@ -299,24 +284,23 @@ def sample_bursty(spec: BGNoise, burst_len: int, count: int,
         spec: Mixture parameters; ``epsilon`` is the target marginal rate.
         burst_len: Number of consecutive contaminated samples per burst, >= 1.
         count: Block length.
-        rng: Seed or Generator.
+        rng: Random generator.
     """
     if burst_len < 1:
         raise ValueError("burst_len must be at least 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    gen, seed = _resolve_rng(rng)
-    starts = gen.random(count) < spec.epsilon / burst_len
+    starts = rng.random(count) < spec.epsilon / burst_len
     labels = np.zeros(count, dtype=np.uint8)
     for offset in range(burst_len):
         labels[offset:] |= starts[:count - offset]
     sigma2 = np.where(labels == 1, spec.sigma_w2 + spec.sigma_i2, spec.sigma_w2)
-    samples = complex_gaussian(gen, count, sigma2)
-    return LabeledNoiseBlock(samples, labels, spec, seed)
+    samples = complex_gaussian(rng, count, sigma2)
+    return LabeledNoiseBlock(samples, labels)
 
 
 def sample_noise(spec: NoiseSpec, count: int,
-                 rng: Union[int, np.random.Generator],
+                 rng: np.random.Generator,
                  burst_len: int = 1) -> LabeledNoiseBlock:
     """Dispatch to the sampler matching ``spec`` (bursts for BG only)."""
     if isinstance(spec, BGNoise):

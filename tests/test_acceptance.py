@@ -299,16 +299,18 @@ def test_criterion_5_numeric_suite():
 
     # Model variances at 1e6 samples, within 2%.
     n = 10 ** 6
-    bg = sample_bg(BGNoise(epsilon=0.1, sigma_w2=1.0, sigma_i2=10.0), n, 4)
+    bg = sample_bg(BGNoise(epsilon=0.1, sigma_w2=1.0, sigma_i2=10.0), n,
+                   np.random.default_rng(4))
     assert np.mean(np.abs(bg.samples) ** 2) == pytest.approx(2.0, rel=0.02)
     mca_spec = MCANoise(overlap_a=1.0, gamma=0.2, sigma_n2=1.0, j_trunc=10)
     weights, variances = mixture_weights(mca_spec)
-    mca = sample_mca(mca_spec, n, 5)
+    mca = sample_mca(mca_spec, n, np.random.default_rng(5))
     assert np.mean(np.abs(mca.samples) ** 2) == pytest.approx(
         float(weights @ variances), rel=0.02)
 
     # alpha = 2 stable collapses to N(0, 2 scale^2) per real dimension.
-    sas = sample_sas(SASNoise(alpha=2.0, beta=0.0, scale=1.0), n, 6)
+    sas = sample_sas(SASNoise(alpha=2.0, beta=0.0, scale=1.0), n,
+                     np.random.default_rng(6))
     assert np.var(sas.samples.real) == pytest.approx(2.0, rel=0.02)
     assert np.var(sas.samples.imag) == pytest.approx(2.0, rel=0.02)
 

@@ -274,6 +274,18 @@ def test_unknown_policy_named_in_diagnostic(cfg_file, tmp_path, capsys):
     assert "zap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p_fa", ["0", "1", "-0.1", "1.5", "nan"])
+def test_out_of_range_p_fa_names_key_at_load(cfg_file, tmp_path, capsys, p_fa):
+    # Rejected when the config loads, whichever policies are configured:
+    # none and dnn-clp would otherwise run and ignore it.
+    rc = run_cli("ber-sweep", "--config", cfg_file,
+                 "--set", "sweep.policies=none,dnn-clp",
+                 "--set", f"sweep.p_fa={p_fa}", "--out", tmp_path / "c")
+    assert rc == 2
+    assert "sweep.p_fa" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_malformed_override_is_rejected(cfg_file, tmp_path, capsys):
     rc = run_cli("gen-dataset", "--config", cfg_file, "--set", "seed:5",
                  "--out", tmp_path / "d.csv")

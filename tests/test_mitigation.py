@@ -3,16 +3,18 @@ false-alarm calibration, blanking and clipping semantics, detector/suppressor
 composition, and the per-block gain normalization of the learned detector."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inofdm.dnn import MlpParams
+from inofdm.config import load_config
+from inofdm.dnn import MlpParams, load_model
 from inofdm.features import FeatureNormalizer, extract_features
+from inofdm.link import build_policy
 from inofdm.mitigation import (
-    DEFAULT_P_FA,
     Blank,
     Clip,
     DnnDetector,
@@ -27,6 +29,8 @@ from inofdm.mitigation import (
     np_threshold,
     threshold_detect,
 )
+
+MODEL_PATH = Path(__file__).resolve().parent.parent / "models" / "detector.txt"
 
 
 def rayleigh_block(seed, n, sigma2=1.0):
@@ -225,6 +229,19 @@ def test_clip_validation():
         clip(np.ones(3), np.ones(2, dtype=np.uint8), 1.0)
 
 
+def test_clip_broadcasts_a_per_block_level():
+    blocks = np.array([[3.0, 0.5j, -4.0], [3.0, 0.5j, -4.0]])
+    mask = np.ones(blocks.shape, dtype=np.uint8)
+    out = clip(blocks, mask, np.array([[1.0], [3.5]]))
+    np.testing.assert_allclose(out, [[1.0, 0.5j, -1.0], [3.0, 0.5j, -3.5]],
+                               rtol=1e-12)
+    # The same level in every block equals the scalar level.
+    assert np.array_equal(clip(blocks, mask, np.full((2, 1), 2.0)),
+                          clip(blocks, mask, 2.0))
+    with pytest.raises(ValueError):
+        clip(blocks, mask, np.array([[1.0], [0.0]]))
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_blank_is_idempotent(seed):
@@ -236,7 +253,7 @@ def test_blank_is_idempotent(seed):
 
 
 # ---------------------------------------------------------------------------
-# detector configuration and precedence
+# detector configuration and the per-block level
 
 
 def test_detector_validation():
@@ -245,31 +262,11 @@ def test_detector_validation():
     with pytest.raises(ValueError):
         ThresholdDetector(p_fa=1.0)
     with pytest.raises(ValueError):
-        ThresholdDetector(threshold=0.0)
+        DnnDetector(params=magnitude_gate_params(), half_width=0)
     with pytest.raises(ValueError):
-        ThresholdDetector(sigma2_clean=-1.0)
-    params = magnitude_gate_params()
+        Clip(p_fa=0.0)
     with pytest.raises(ValueError):
-        DnnDetector(params=params, half_width=0)
-    with pytest.raises(ValueError):
-        DnnDetector(params=params, threshold=0.0)
-    with pytest.raises(ValueError):
-        DnnDetector(params=params, threshold=1.0)
-    with pytest.raises(ValueError):
-        Clip(level=-2.0)
-
-
-def test_fixed_threshold_takes_precedence():
-    samples = rayleigh_block(12, 1024)
-    det = ThresholdDetector(p_fa=0.5, threshold=1.7, sigma2_clean=1e6)
-    assert np.array_equal(detect(samples, det), threshold_detect(samples, 1.7))
-
-
-def test_assumed_power_route_uses_neyman_pearson_level():
-    samples = rayleigh_block(13, 1024, sigma2=2.0)
-    det = ThresholdDetector(p_fa=0.02, sigma2_clean=2.0)
-    expected = threshold_detect(samples, np_threshold(2.0, 0.02))
-    assert np.array_equal(detect(samples, det), expected)
+        Clip(p_fa=1.0)
 
 
 def test_in_situ_route_estimates_power_per_block():
@@ -329,7 +326,7 @@ def test_detector_features_handle_all_zero_blocks():
 def test_dnn_detector_to_classifier_composition():
     params = magnitude_gate_params()
     samples = rayleigh_block(19, 2048)
-    det = DnnDetector(params=params, half_width=5, threshold=0.5)
+    det = DnnDetector(params=params, half_width=5)
     mask = detect(samples, det)
     feats = detector_features(samples, 5)
     # Gate trips exactly when the normalized magnitude clears knee + 0.5.
@@ -377,47 +374,51 @@ def test_mitigate_blank_equals_manual_composition():
 
 def test_threshold_blank_policy_is_classic_blanking():
     samples = rayleigh_block(26, 2048, sigma2=4.0)
-    det = ThresholdDetector(p_fa=0.01, sigma2_clean=4.0)
+    det = ThresholdDetector(p_fa=0.01)
     out = mitigate(samples, MitigationPolicy(det, Blank()))
-    level = np_threshold(4.0, 0.01)
+    level = np_threshold(float(estimate_clean_power(samples)), 0.01)
     assert np.array_equal(out, np.where(np.abs(samples) > level, 0, samples))
 
 
 def test_clip_with_tiny_level_approaches_blanking():
     samples = rayleigh_block(27, 1024)
-    det = ThresholdDetector(p_fa=0.05)
-    blanked = mitigate(samples, MitigationPolicy(det, Blank()))
-    clipped = mitigate(samples, MitigationPolicy(det, Clip(level=1e-12)))
-    np.testing.assert_allclose(clipped, blanked, atol=2e-12)
+    mask = detect(samples, ThresholdDetector(p_fa=0.05))
+    np.testing.assert_allclose(clip(samples, mask, 1e-12),
+                               blank(samples, mask), atol=2e-12)
 
 
-def test_clip_default_level_reuses_fixed_detection_threshold():
-    # Clip-at-threshold: flagged magnitudes land exactly on the detector level.
-    samples = np.array([5.0, 0.3 + 0.1j, 9.0j])
-    det = ThresholdDetector(threshold=2.0)
-    out = mitigate(samples, MitigationPolicy(det, Clip()))
-    np.testing.assert_allclose(np.abs(out), [2.0, np.hypot(0.3, 0.1), 2.0],
-                               rtol=1e-12)
+def test_clip_policy_lands_flagged_samples_on_detection_level():
+    # Clip-at-threshold: with one p_fa for both, every flagged magnitude
+    # lands exactly on the detector's per-block level.
+    samples = rayleigh_block(32, 1024)
+    samples[::50] *= 30.0
+    det = ThresholdDetector(p_fa=0.01)
+    out = mitigate(samples, MitigationPolicy(det, Clip(p_fa=0.01)))
+    flagged = detect(samples, det) == 1
+    level = np_threshold(float(estimate_clean_power(samples)), 0.01)
+    assert flagged.sum() >= 21
+    np.testing.assert_allclose(np.abs(out[flagged]), level, rtol=1e-12)
+    assert np.array_equal(out[~flagged], samples[~flagged])
 
 
 def test_clip_default_level_tracks_per_block_estimate():
     blocks = np.stack([rayleigh_block(28, 2048, 1.0),
                        rayleigh_block(29, 2048, 100.0)])
     det = ThresholdDetector(p_fa=0.01)
-    out = mitigate(blocks, MitigationPolicy(det, Clip()))
+    out = mitigate(blocks, MitigationPolicy(det, Clip(p_fa=0.01)))
     levels = np_threshold(estimate_clean_power(blocks), 0.01)
     for b in range(2):
         assert np.max(np.abs(out[b])) <= levels[b] * (1 + 1e-12)
 
 
 def test_clip_default_level_with_network_detector():
-    # No threshold to reuse, so the ceiling falls back to the Neyman-Pearson
-    # level at the default false-alarm rate; only flagged samples feel it.
+    # The ceiling is the Neyman-Pearson level at the clip's own false-alarm
+    # rate; only flagged samples feel it.
     det = DnnDetector(params=magnitude_gate_params(), half_width=5)
     block = rayleigh_block(30, 4096)
     block[::100] = 50.0
-    out = mitigate(block, MitigationPolicy(det, Clip()))
-    ceiling = np_threshold(float(estimate_clean_power(block)), DEFAULT_P_FA)
+    out = mitigate(block, MitigationPolicy(det, Clip(p_fa=0.02)))
+    ceiling = np_threshold(float(estimate_clean_power(block)), 0.02)
     np.testing.assert_allclose(np.abs(out[::100]), ceiling, rtol=1e-12)
 
 
@@ -431,17 +432,32 @@ def test_pass_through_policy_copies_input():
 
 def test_mitigate_rejects_unknown_suppressor():
     with pytest.raises(TypeError):
-        mitigate(np.ones(8), MitigationPolicy(ThresholdDetector(), "zap"))
+        mitigate(np.ones(8), MitigationPolicy(ThresholdDetector(0.01), "zap"))
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["bln", "clp", "clp-fixed"]))
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["bln", "clp", "clp-0.3"]))
 @settings(max_examples=30, deadline=None)
 def test_mitigate_never_increases_any_magnitude(seed, kind):
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     samples[rng.random(256) < 0.05] *= 20.0
     det = ThresholdDetector(p_fa=0.05)
-    suppressor = {"bln": Blank(), "clp": Clip(),
-                  "clp-fixed": Clip(level=0.7)}[kind]
+    suppressor = {"bln": Blank(), "clp": Clip(p_fa=0.05),
+                  "clp-0.3": Clip(p_fa=0.3)}[kind]
     out = mitigate(samples, MitigationPolicy(det, suppressor))
     assert np.all(np.abs(out) <= np.abs(samples) * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("name", ["none", "bln", "clp", "dnn", "dnn-clp"])
+def test_policies_handle_blocks_with_zero_median(name):
+    # An all-zero block, and one that is mostly zeros, have a median |r|^2
+    # of 0.  Every policy must still return finite samples and leave the
+    # zero samples at zero.
+    cfg = load_config(None, {})
+    policy = build_policy(cfg, name, load_model(MODEL_PATH))
+    mostly_zero = rayleigh_block(40, 256)
+    mostly_zero[np.random.default_rng(41).permutation(256)[:160]] = 0.0
+    blocks = np.stack([np.zeros(256, dtype=complex), mostly_zero])
+    out = mitigate(blocks, policy)
+    assert np.all(np.isfinite(out))
+    assert np.all(out[blocks == 0] == 0)

@@ -150,27 +150,27 @@ class TestSamplerMoments:
 
     def test_bg_degenerate_background_only(self):
         spec = BGNoise(epsilon=0.0, sigma_w2=2.0, sigma_i2=1.0)
-        block = sample_bg(spec, self.N, 1)
+        block = sample_bg(spec, self.N, np.random.default_rng(1))
         assert not block.labels.any()
         power = np.mean(np.abs(block.samples) ** 2)
         assert power == pytest.approx(2.0, rel=0.01)
 
     def test_bg_degenerate_all_impulse(self):
         spec = BGNoise(epsilon=1.0, sigma_w2=1.0, sigma_i2=3.0)
-        block = sample_bg(spec, self.N, 2)
+        block = sample_bg(spec, self.N, np.random.default_rng(2))
         assert block.labels.all()
         power = np.mean(np.abs(block.samples) ** 2)
         assert power == pytest.approx(4.0, rel=0.01)
 
     def test_bg_label_rate_binomial_window(self):
         spec = BGNoise(epsilon=0.05, sigma_w2=1.0, sigma_i2=10.0)
-        block = sample_bg(spec, self.N, 3)
+        block = sample_bg(spec, self.N, np.random.default_rng(3))
         half_width = 3.0 * math.sqrt(0.05 * 0.95 / self.N)
         assert abs(block.labels.mean() - 0.05) < half_width
 
     def test_bg_second_moment(self):
         spec = BGNoise(epsilon=0.1, sigma_w2=1.0, sigma_i2=10.0)
-        block = sample_bg(spec, self.N, 4)
+        block = sample_bg(spec, self.N, np.random.default_rng(4))
         expected = 0.9 * 1.0 + 0.1 * 11.0
         assert np.mean(np.abs(block.samples) ** 2) == pytest.approx(
             expected, rel=0.02)
@@ -179,14 +179,15 @@ class TestSamplerMoments:
         spec = MCANoise(overlap_a=1.0, gamma=0.2, sigma_n2=1.0, j_trunc=10)
         weights, variances = mixture_weights(spec)
         expected = float(weights @ variances)
-        block = sample_mca(spec, self.N, 5)
+        block = sample_mca(spec, self.N, np.random.default_rng(5))
         assert np.mean(np.abs(block.samples) ** 2) == pytest.approx(
             expected, rel=0.02)
         # Truncation barely moves the average power off sigma_n2.
         assert expected == pytest.approx(1.0, rel=0.01)
 
     def test_sas_alpha2_is_gaussian(self):
-        block = sample_sas(SASNoise(alpha=2.0, beta=0.0, scale=1.0), self.N, 6)
+        block = sample_sas(SASNoise(alpha=2.0, beta=0.0, scale=1.0), self.N,
+                           np.random.default_rng(6))
         assert block.labels is None
         # alpha = 2 with unit dispersion gives N(0, 2) per real dimension.
         assert np.var(block.samples.real) == pytest.approx(2.0, rel=0.02)
@@ -197,17 +198,19 @@ class TestSamplerMoments:
         assert abs(kurt) < 0.05
 
     def test_sas_location_shift(self):
-        block = sample_sas(SASNoise(alpha=1.5, loc=5.0), 10 ** 5, 7)
+        block = sample_sas(SASNoise(alpha=1.5, loc=5.0), 10 ** 5,
+                           np.random.default_rng(7))
         assert np.median(block.samples.real) == pytest.approx(5.0, abs=0.05)
 
     def test_sas_quantile_matches_cf_inversion(self):
-        block = sample_sas(SASNoise(alpha=1.5, beta=0.0, scale=1.0), self.N, 8)
+        block = sample_sas(SASNoise(alpha=1.5, beta=0.0, scale=1.0), self.N,
+                           np.random.default_rng(8))
         q = np.quantile(block.samples.real, 0.75)
         assert q == pytest.approx(STABLE_15_Q75, rel=0.02)
 
     def test_bursty_marginal_rate(self):
         spec = BGNoise(epsilon=0.06, sigma_w2=1.0, sigma_i2=10.0)
-        block = sample_bursty(spec, 4, self.N, 9)
+        block = sample_bursty(spec, 4, self.N, np.random.default_rng(9))
         # Starts at rate eps/4, each covering 4 samples with merged overlaps:
         # marginal rate 1 - (1 - 0.015)^4 = 0.058659...
         expected = 1.0 - (1.0 - 0.06 / 4) ** 4
@@ -217,7 +220,7 @@ class TestSamplerMoments:
 
 def test_bursty_runs_have_full_length_away_from_edges():
     spec = BGNoise(epsilon=0.06, sigma_w2=1.0, sigma_i2=10.0)
-    block = sample_bursty(spec, 4, 50_000, 11)
+    block = sample_bursty(spec, 4, 50_000, np.random.default_rng(11))
     padded = np.concatenate([[0], block.labels, [0]])
     starts = np.flatnonzero(np.diff(padded) == 1)
     ends = np.flatnonzero(np.diff(padded) == -1)
@@ -230,8 +233,8 @@ def test_bursty_runs_have_full_length_away_from_edges():
 
 def test_bursty_length_one_matches_plain_bg():
     spec = BGNoise(epsilon=0.05, sigma_w2=1.0, sigma_i2=10.0)
-    plain = sample_bg(spec, 10_000, 42)
-    bursty = sample_bursty(spec, 1, 10_000, 42)
+    plain = sample_bg(spec, 10_000, np.random.default_rng(42))
+    bursty = sample_bursty(spec, 1, 10_000, np.random.default_rng(42))
     np.testing.assert_array_equal(plain.labels, bursty.labels)
     np.testing.assert_array_equal(plain.samples, bursty.samples)
 
@@ -239,7 +242,7 @@ def test_bursty_length_one_matches_plain_bg():
 def test_bursty_rejects_bad_burst_len():
     spec = BGNoise(epsilon=0.05, sigma_w2=1.0, sigma_i2=10.0)
     with pytest.raises(ValueError):
-        sample_bursty(spec, 0, 100, 0)
+        sample_bursty(spec, 0, 100, np.random.default_rng(0))
 
 
 def test_samplers_are_reproducible():
@@ -247,27 +250,27 @@ def test_samplers_are_reproducible():
     mca = MCANoise(overlap_a=1.0, gamma=0.2, sigma_n2=1.0, j_trunc=10)
     sas = SASNoise(alpha=1.8)
     for spec in (bg, mca, sas):
-        first = sample_noise(spec, 4096, 1234)
-        second = sample_noise(spec, 4096, 1234)
+        first = sample_noise(spec, 4096, np.random.default_rng(1234))
+        second = sample_noise(spec, 4096, np.random.default_rng(1234))
         np.testing.assert_array_equal(first.samples, second.samples)
         if first.labels is not None:
             np.testing.assert_array_equal(first.labels, second.labels)
-        assert first.seed == 1234
 
 
 def test_sample_noise_dispatch_and_burst_guard():
     bg = BGNoise(epsilon=0.06, sigma_w2=1.0, sigma_i2=10.0)
-    block = sample_noise(bg, 1000, 0, burst_len=4)
+    block = sample_noise(bg, 1000, np.random.default_rng(0), burst_len=4)
     assert block.labels is not None
     with pytest.raises(ValueError):
-        sample_noise(MCANoise(1.0, 0.2, 1.0, 10), 1000, 0, burst_len=4)
+        sample_noise(MCANoise(1.0, 0.2, 1.0, 10), 1000, np.random.default_rng(0),
+                     burst_len=4)
     with pytest.raises(ValueError):
-        sample_bg(bg, -1, 0)
+        sample_bg(bg, -1, np.random.default_rng(0))
 
 
 def test_mca_labels_mark_nonzero_terms():
     spec = MCANoise(overlap_a=1.0, gamma=0.2, sigma_n2=1.0, j_trunc=10)
-    block = sample_mca(spec, 10 ** 5, 13)
+    block = sample_mca(spec, 10 ** 5, np.random.default_rng(13))
     # Label rate equals 1 - p_0 (renormalized) up to binomial noise.
     weights, _ = mixture_weights(spec)
     expected = 1.0 - weights[0]
@@ -304,7 +307,7 @@ def test_pdf_radially_decreasing(x, y):
 @settings(max_examples=30, deadline=None)
 def test_block_shapes_consistent(count, seed):
     spec = BGNoise(epsilon=0.3, sigma_w2=1.0, sigma_i2=4.0)
-    block = sample_bg(spec, count, seed)
+    block = sample_bg(spec, count, np.random.default_rng(seed))
     assert block.samples.shape == (count,)
     assert block.labels.shape == (count,)
     assert block.samples.dtype == np.complex128
