@@ -13,9 +13,9 @@ Schema reference (types: f float, i int, b bool, s string, f* float list):
 ofdm.n_fft i, ofdm.cp_len i, ofdm.pilot_spacing i, ofdm.n_null i
 channel.n_taps i, channel.mean_arrival f, channel.decay f
 noise.model s (bg|mca|sas)
-noise.epsilon f, noise.sir_db f, noise.burst_len i          (bg)
-noise.a f, noise.gamma f, noise.j_trunc i                   (mca)
-noise.alpha f, noise.beta f, noise.scale f, noise.loc f     (sas)
+noise.epsilon f (in [0, 1]), noise.sir_db f, noise.burst_len i  (bg)
+noise.a f, noise.gamma f, noise.j_trunc i                        (mca)
+noise.alpha f, noise.beta f, noise.scale f, noise.loc f          (sas)
 grid.ebn0_db f*
 sweep.policies s (comma list of none|bln|clp|dnn|dnn-clp)
 sweep.p_fa f (in (0, 1): the false-alarm rate of the per-block
@@ -23,9 +23,10 @@ sweep.p_fa f (in (0, 1): the false-alarm rate of the per-block
 sweep.min_errors i, sweep.max_bits i, sweep.perfect_csi b
 interleaver.tx_enabled b, interleaver.tx_rows i, interleaver.tx_cols i
 interleaver.time_enabled b, interleaver.time_rows i, interleaver.time_cols i
-detector.half_width i
-train.ebn0_db f*, train.sir_db f*, train.epsilon f*, train.symbols i,
-train.epochs i, train.batch_size i, train.eta f, train.lam f
+detector.half_width i (n >= 1 with 2n+1 <= ofdm.n_fft)
+train.ebn0_db f*, train.sir_db f*, train.epsilon f* (each in [0, 1]),
+train.symbols i, train.epochs i (>= 1), train.batch_size i (>= 1),
+train.eta f, train.lam f
 model.path s
 seed i
 """
@@ -154,9 +155,21 @@ def resolve_config(file_values: Optional[Mapping[str, str]] = None,
     model = typed["noise.model"]
     if model not in _NOISE_MODELS:
         raise ValueError(f"config key 'noise.model': must be one of {_NOISE_MODELS}")
-    if not 0.0 < typed["sweep.p_fa"] < 1.0:
-        raise ValueError("config key 'sweep.p_fa': must be in (0, 1), "
-                         f"got {typed['sweep.p_fa']}")
+    n_fft = typed["ofdm.n_fft"]
+    ranges = (
+        ("sweep.p_fa", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+        ("noise.epsilon", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+        ("train.epsilon", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+        ("train.epochs", lambda v: v >= 1, "at least 1"),
+        ("train.batch_size", lambda v: v >= 1, "at least 1"),
+        ("detector.half_width", lambda v: 1 <= v and 2 * v + 1 <= n_fft,
+         f"at least 1, with a window 2n+1 no longer than ofdm.n_fft = {n_fft}"),
+    )
+    for key, in_range, rule in ranges:
+        value = typed[key]
+        for item in value if isinstance(value, tuple) else (value,):
+            if not in_range(item):
+                raise ValueError(f"config key {key!r}: must be {rule}, got {item}")
     for name in str(typed["sweep.policies"]).split(","):
         if name.strip() not in _POLICY_NAMES:
             raise ValueError(

@@ -27,6 +27,10 @@ LAYER_SIZES = (3, 20, 10, 1)
 #: Probability clamp used inside the cross-entropy.
 EPS_CLAMP = 1e-12
 
+#: Rows per forward pass in :func:`loss_value`; the (rows, 20) and
+#: (rows, 10) activations of one block stay cache-resident.
+LOSS_BLOCK_ROWS = 16384
+
 _SHAPES = {
     "w1": (LAYER_SIZES[1], LAYER_SIZES[0]),
     "b1": (LAYER_SIZES[1],),
@@ -118,13 +122,23 @@ def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 def loss_value(params: MlpParams, x: np.ndarray, y: np.ndarray,
                lam: float) -> float:
-    """Mean clamped cross-entropy plus (lam/2m) sum of squared weights."""
+    """Mean clamped cross-entropy plus (lam/2m) sum of squared weights.
+
+    The forward pass runs over LOSS_BLOCK_ROWS rows at a time, so its
+    activations stay cache-sized instead of (m, 20) and (m, 10) arrays, and
+    the blocks' (rows,) probabilities are concatenated before the clamp and
+    the mean.  Each row's probability does not depend on the other rows of
+    its block, and the mean still reduces the whole (m,) vector at once, so
+    the loss is the same float as from one forward pass over all m rows.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = len(y)
     if m == 0 or x.shape != (m, LAYER_SIZES[0]):
         raise ValueError("x must be (m, 3) with matching labels")
-    yhat = np.clip(forward(params, x), EPS_CLAMP, 1.0 - EPS_CLAMP)
+    yhat = np.concatenate([forward(params, x[start:start + LOSS_BLOCK_ROWS])
+                           for start in range(0, m, LOSS_BLOCK_ROWS)])
+    yhat = np.clip(yhat, EPS_CLAMP, 1.0 - EPS_CLAMP)
     bce = -np.mean(y * np.log(yhat) + (1.0 - y) * np.log(1.0 - yhat))
     penalty = sum(float(np.sum(getattr(params, k) ** 2)) for k in _WEIGHT_KEYS)
     return float(bce + lam / (2.0 * m) * penalty)

@@ -20,6 +20,7 @@ window, so detection latency is bounded by n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -147,6 +148,18 @@ def apply_normalizer(features: np.ndarray,
 # Plain text: '#'-prefixed key=value metadata lines, one 'x1,x2,x3,label'
 # header, then one CSV row per sample.  Floats use 17 significant digits so
 # a write/read round trip is exact.
+#
+# The writer formats DATASET_BLOCK_ROWS rows at a time with one '%'-format
+# string per block ('%.17g' gives the same text as the f-string spec
+# '{:.17g}').  The reader parses the metadata and the header line by line,
+# then hands the rest of the open file to numpy's C text parser
+# (np.loadtxt), which rounds correctly and needs no per-row Python objects.
+
+#: Rows formatted per write call of :func:`write_dataset`.
+DATASET_BLOCK_ROWS = 4096
+
+_DATASET_HEADER = "x1,x2,x3,label"
+_DATASET_ROW = "%.17g,%.17g,%.17g,%d\n"
 
 
 def write_dataset(path, features: np.ndarray, labels: np.ndarray,
@@ -169,9 +182,12 @@ def write_dataset(path, features: np.ndarray, labels: np.ndarray,
     with open(path, "w", encoding="ascii") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}={value}\n")
-        fh.write("x1,x2,x3,label\n")
-        for row, label in zip(features, labels):
-            fh.write(f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},{int(label)}\n")
+        fh.write(_DATASET_HEADER + "\n")
+        for start in range(0, len(labels), DATASET_BLOCK_ROWS):
+            stop = start + DATASET_BLOCK_ROWS
+            columns = features[start:stop].T.tolist()
+            values = chain.from_iterable(zip(*columns, labels[start:stop].tolist()))
+            fh.write(_DATASET_ROW * len(columns[0]) % tuple(values))
 
 
 def read_dataset(path) -> Tuple[np.ndarray, np.ndarray, Dict[str, str]]:
@@ -179,26 +195,33 @@ def read_dataset(path) -> Tuple[np.ndarray, np.ndarray, Dict[str, str]]:
 
     Returns:
         (features, labels, metadata).
+
+    Raises:
+        ValueError: On a missing or wrong header, or a data row that does
+            not hold exactly four numbers.
     """
     metadata: Dict[str, str] = {}
-    rows = []
     with open(path, "r", encoding="ascii") as fh:
         header_seen = False
         for line in fh:
-            line = line.strip()
-            if not line:
+            text = line.strip()
+            if not text:
                 continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
+            if text.startswith("#"):
+                key, _, value = text[1:].strip().partition("=")
                 metadata[key.strip()] = value.strip()
                 continue
+            if header_seen:
+                break  # the first data row
+            if text != _DATASET_HEADER:
+                raise ValueError(f"unexpected dataset header: {text!r}")
+            header_seen = True
+        else:
             if not header_seen:
-                if line != "x1,x2,x3,label":
-                    raise ValueError(f"unexpected dataset header: {line!r}")
-                header_seen = True
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if not header_seen:
-        raise ValueError("dataset file has no header line")
-    data = np.asarray(rows, dtype=float).reshape(len(rows), 4)
+                raise ValueError("dataset file has no header line")
+            return np.empty((0, 3)), np.empty(0, dtype=np.uint8), metadata
+        data = np.loadtxt(chain([line], fh), delimiter=",", dtype=float,
+                          ndmin=2)
+    if data.shape[1] != 4:
+        raise ValueError(f"dataset rows must hold 4 values, got {data.shape[1]}")
     return data[:, :3], data[:, 3].astype(np.uint8), metadata

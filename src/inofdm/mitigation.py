@@ -154,13 +154,14 @@ class MitigationPolicy:
     name: str = ""
 
 
-def _block_threshold(samples: np.ndarray, p_fa: float) -> np.ndarray:
-    """Per-block Neyman-Pearson level at p_fa, shape (..., 1)."""
-    level = np_threshold(estimate_clean_power(samples), p_fa)
-    return np.asarray(level)[..., None]
+def _block_threshold(power: np.ndarray, p_fa: float) -> np.ndarray:
+    """Per-block Neyman-Pearson level at p_fa from the per-block power,
+    shape (..., 1)."""
+    return np.asarray(np_threshold(power, p_fa))[..., None]
 
 
-def detector_features(samples: np.ndarray, half_width: int) -> np.ndarray:
+def detector_features(samples: np.ndarray, half_width: int, *,
+                      power: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-sample features for the learned detector, gain-normalized per block.
 
     Raw magnitude-based features scale with the received level, which swings
@@ -168,34 +169,47 @@ def detector_features(samples: np.ndarray, half_width: int) -> np.ndarray:
     block (last axis) is divided by its robust scale estimate — the same
     estimator the threshold detector calibrates with — so the learned
     decision boundary transfers across blocks and operating points instead
-    of being pinned to the levels seen during training.
+    of being pinned to the levels seen during training.  ``power`` is that
+    estimate when the caller already holds it (see :func:`mitigate`).
     """
     samples = np.asarray(samples)
-    power = estimate_clean_power(samples)
+    if power is None:
+        power = estimate_clean_power(samples)
     return extract_features(samples / np.sqrt(power)[..., None], n=half_width)
 
 
-def detect(samples: np.ndarray, detector: Detector) -> np.ndarray:
-    """Run a detector over blocks, returning the 0/1 impulse mask."""
+def detect(samples: np.ndarray, detector: Detector, *,
+           power: Optional[np.ndarray] = None) -> np.ndarray:
+    """Run a detector over blocks, returning the 0/1 impulse mask.
+
+    ``power`` is the blocks' :func:`estimate_clean_power`, when the caller
+    already holds it; otherwise it is estimated here.
+    """
     samples = np.asarray(samples)
     if isinstance(detector, ThresholdDetector):
-        level = _block_threshold(samples, detector.p_fa)
-        return threshold_detect(samples, level)
+        if power is None:
+            power = estimate_clean_power(samples)
+        return threshold_detect(samples, _block_threshold(power, detector.p_fa))
     if isinstance(detector, DnnDetector):
-        feats = detector_features(samples, detector.half_width)
+        feats = detector_features(samples, detector.half_width, power=power)
         return dnn.classify(detector.params, feats)
     raise TypeError(f"unknown detector {type(detector).__name__}")
 
 
 def mitigate(samples: np.ndarray, policy: MitigationPolicy) -> np.ndarray:
-    """Detect and suppress in one pass; the input is never modified."""
+    """Detect and suppress in one pass; the input is never modified.
+
+    The per-block power estimate (one median per block) is computed once
+    and shared by the detector and the clip ceiling.
+    """
     samples = np.asarray(samples)
     if policy.detector is None:
         return samples.astype(complex, copy=True)
-    mask = detect(samples, policy.detector)
+    power = estimate_clean_power(samples)
+    mask = detect(samples, policy.detector, power=power)
     if isinstance(policy.suppressor, Blank):
         return blank(samples, mask)
     if isinstance(policy.suppressor, Clip):
-        level = _block_threshold(samples, policy.suppressor.p_fa)
+        level = _block_threshold(power, policy.suppressor.p_fa)
         return clip(samples, mask, level)
     raise TypeError(f"unknown suppressor {type(policy.suppressor).__name__}")

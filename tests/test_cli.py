@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from inofdm import config as config_mod
 from inofdm.cli import main
 from inofdm.dnn import load_model
 from inofdm.features import read_dataset
@@ -284,6 +285,37 @@ def test_out_of_range_p_fa_names_key_at_load(cfg_file, tmp_path, capsys, p_fa):
     assert rc == 2
     assert "sweep.p_fa" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("noise.epsilon", "1.5"),
+    ("noise.epsilon", "-0.01"),
+    ("train.epsilon", "0.05,1.01"),
+    ("train.epsilon", "nan"),
+    ("train.epochs", "0"),
+    ("train.batch_size", "0"),
+    ("detector.half_width", "0"),
+    ("detector.half_width", "64"),  # window 129 > ofdm.n_fft = 128
+])
+def test_out_of_range_value_names_key_at_load(cfg_file, tmp_path, capsys,
+                                              key, value):
+    # Each of these used to pass the load: some failed later with a message
+    # that names no key, the others ran without a word.
+    rc = run_cli("gen-dataset", "--config", cfg_file, "--set", f"{key}={value}",
+                 "--out", tmp_path / "d.csv")
+    assert rc == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_range_limits_are_inclusive(cfg_file):
+    # The edges of every range load: epsilon 0 and 1, one epoch, batches of
+    # one row, and the widest window that fits the 128-sample block.
+    config_mod.load_config(cfg_file, {
+        "noise.epsilon": "1", "train.epsilon": "0,1", "train.epochs": "1",
+        "train.batch_size": "1", "detector.half_width": "63"})
+    config_mod.load_config(cfg_file, {"noise.epsilon": "0",
+                                      "detector.half_width": "1"})
 
 
 def test_malformed_override_is_rejected(cfg_file, tmp_path, capsys):

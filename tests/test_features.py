@@ -1,11 +1,14 @@
 """Tests for the per-sample detector features and the dataset file format."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inofdm.features import (
+    DATASET_BLOCK_ROWS,
     FeatureNormalizer,
     apply_normalizer,
     extract_features,
@@ -212,3 +215,67 @@ def test_dataset_reader_rejects_malformed(tmp_path):
     bad.write_text("a,b,c\n1,2,3,0\n")
     with pytest.raises(ValueError):
         read_dataset(bad)
+
+
+def per_row_writer(path, features, labels, metadata):
+    """The one-f-string-per-row writer the block writer must match byte for
+    byte."""
+    with open(path, "w", encoding="ascii") as fh:
+        for key, value in metadata.items():
+            fh.write(f"# {key}={value}\n")
+        fh.write("x1,x2,x3,label\n")
+        for row, label in zip(np.asarray(features, dtype=float), labels):
+            fh.write(f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},{int(label)}\n")
+
+
+@pytest.mark.parametrize("rows", [0, 1, DATASET_BLOCK_ROWS - 1, DATASET_BLOCK_ROWS,
+                                  DATASET_BLOCK_ROWS + 1])
+def test_block_writer_matches_per_row_writer(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    feats = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+    special = np.array([-0.0, 5e-324, 1e300, np.inf, 0.1, -np.inf])
+    feats.ravel()[:len(special)] = special[:feats.size]
+    labels = rng.integers(0, 2, rows).astype(np.uint8)
+    meta = {"config_hash": "abc", "seed": "7"}
+    per_row_writer(tmp_path / "ref.csv", feats, labels, meta)
+    write_dataset(tmp_path / "got.csv", feats, labels, metadata=meta)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    got_f, got_l, got_meta = read_dataset(tmp_path / "got.csv")
+    assert got_f.shape == (rows, 3) and got_l.shape == (rows,)
+    np.testing.assert_array_equal(got_f, feats)
+    np.testing.assert_array_equal(np.signbit(got_f), np.signbit(feats))
+    np.testing.assert_array_equal(got_l, labels)
+    assert got_meta == meta
+
+
+def test_header_only_dataset_reads_empty_without_warning(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# seed=3\nx1,x2,x3,label\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        feats, labels, meta = read_dataset(path)
+    assert feats.shape == (0, 3) and feats.dtype == float
+    assert labels.shape == (0,) and labels.dtype == np.uint8
+    assert meta == {"seed": "3"}
+
+
+@pytest.mark.parametrize("row", ["1,2,3\n", "1,2,3,0,5\n", "1,2,x,0\n", "1,,3,0\n"])
+def test_dataset_reader_rejects_bad_rows(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,x2,x3,label\n0.5,1,2,1\n" + row)
+    with pytest.raises(ValueError):
+        read_dataset(path)
+
+
+def test_dataset_reader_rejects_uniformly_wide_rows(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("x1,x2,x3,label\n1,2,3,0,9\n4,5,6,1,9\n")
+    with pytest.raises(ValueError, match="4 values"):
+        read_dataset(path)
+
+
+def test_dataset_reader_rejects_missing_header(tmp_path):
+    path = tmp_path / "nohead.csv"
+    path.write_text("# seed=1\n\n")
+    with pytest.raises(ValueError, match="no header"):
+        read_dataset(path)

@@ -15,7 +15,6 @@ import pytest
 
 from inofdm import config as config_mod
 from inofdm import dnn, link
-from inofdm.coding import InterleaverSpec
 from inofdm.mitigation import Blank, MitigationPolicy, ThresholdDetector
 from inofdm.noise_models import BGNoise, MCANoise, SASNoise, sample_noise
 

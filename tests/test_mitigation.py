@@ -461,3 +461,32 @@ def test_policies_handle_blocks_with_zero_median(name):
     out = mitigate(blocks, policy)
     assert np.all(np.isfinite(out))
     assert np.all(out[blocks == 0] == 0)
+
+
+@pytest.mark.parametrize("name, calls", [("none", 0), ("bln", 1), ("clp", 1),
+                                         ("dnn", 1), ("dnn-clp", 1)])
+def test_mitigate_estimates_block_power_once(monkeypatch, name, calls):
+    # Detection and the clip ceiling share one per-block median, and the
+    # output equals detection and suppression composed by hand.
+    cfg = load_config(None, {})
+    policy = build_policy(cfg, name, load_model(MODEL_PATH))
+    blocks = np.stack([rayleigh_block(42, 512), 30.0 * rayleigh_block(43, 512)])
+    blocks[:, ::37] *= 25.0
+    expected = blocks.copy()
+    if policy.detector is not None:
+        mask = detect(blocks, policy.detector)
+        if isinstance(policy.suppressor, Clip):
+            level = np_threshold(estimate_clean_power(blocks), cfg.p_fa)[:, None]
+            expected = clip(blocks, mask, level)
+        else:
+            expected = blank(blocks, mask)
+    seen = []
+
+    def counting(samples):
+        seen.append(samples.shape)
+        return estimate_clean_power(samples)
+
+    monkeypatch.setattr("inofdm.mitigation.estimate_clean_power", counting)
+    out = mitigate(blocks, policy)
+    assert len(seen) == calls
+    assert np.array_equal(out, expected)

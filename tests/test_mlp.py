@@ -4,16 +4,17 @@ independently coded reference, training behaviour and model persistence."""
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from inofdm.dnn import (
     EPS_CLAMP,
     LAYER_SIZES,
-    AdamState,
+    LOSS_BLOCK_ROWS,
     MlpParams,
     TrainConfig,
     adam_step,
@@ -32,6 +33,8 @@ from inofdm.dnn import (
     xavier_init,
 )
 from inofdm.features import FeatureNormalizer
+
+MODEL_PATH = Path(__file__).resolve().parent.parent / "models" / "detector.txt"
 
 SHAPES = {
     "w1": (20, 3), "b1": (20,),
@@ -214,6 +217,25 @@ def test_loss_penalty_is_explicit_weight_square_sum():
 def test_loss_rejects_empty_batch():
     with pytest.raises(ValueError):
         loss_value(zero_params(), np.zeros((0, 3)), np.zeros(0), 0.1)
+
+
+def whole_array_loss(params, x, y, lam):
+    """The loss from one forward pass over every row at once."""
+    yhat = np.clip(forward(params, x), EPS_CLAMP, 1.0 - EPS_CLAMP)
+    bce = -np.mean(y * np.log(yhat) + (1.0 - y) * np.log(1.0 - yhat))
+    penalty = sum(float(np.sum(getattr(params, k) ** 2)) for k in ("w1", "w2", "w3"))
+    return float(bce + lam / (2.0 * len(y)) * penalty)
+
+
+@pytest.mark.parametrize("m", [LOSS_BLOCK_ROWS - 1, LOSS_BLOCK_ROWS,
+                               LOSS_BLOCK_ROWS + 1, 3 * LOSS_BLOCK_ROWS + 7])
+@pytest.mark.parametrize("model", ["random", "shipped"])
+def test_blocked_loss_equals_whole_array_loss_exactly(m, model):
+    params = random_params(m, scale=3.0) if model == "random" else load_model(MODEL_PATH)
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal((m, 3)) * 4.0
+    y = (rng.random(m) < 0.3).astype(float)
+    assert loss_value(params, x, y, 0.1) == whole_array_loss(params, x, y, 0.1)
 
 
 # ---------------------------------------------------------------------------
