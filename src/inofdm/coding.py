@@ -115,20 +115,21 @@ def conv_encode(bits: np.ndarray, code: ConvCode = DEFAULT_CODE) -> np.ndarray:
         raise ValueError("message must contain at least one bit")
     if not np.isin(bits, (0, 1)).all():
         raise ValueError("message bits must be 0 or 1")
-    out_pair = _tables(code)
     lead = bits.shape[:-1]
     m = bits.shape[-1]
-    flat = bits.reshape(-1, m).astype(np.intp)
-    n_steps = m + code.n_tail
-    coded = np.empty((flat.shape[0], 2 * n_steps), dtype=np.uint8)
-    state = np.zeros(flat.shape[0], dtype=np.intp)
-    mask = code.n_states - 1
-    for t in range(n_steps):
-        u = flat[:, t] if t < m else np.zeros_like(state)
-        pair = out_pair[state, u]
-        coded[:, 2 * t] = pair >> 1
-        coded[:, 2 * t + 1] = pair & 1
-        state = ((state << 1) | u) & mask
+    k = code.constraint_length
+    tail = code.n_tail
+    n_steps = m + tail
+    # Output t of a generator is the XOR, over its taps at lag d, of input
+    # t - d; zeros on both sides of the message supply the register's
+    # initial state and the flushing tail.
+    padded = np.zeros(lead + (m + 2 * tail,), dtype=np.uint8)
+    padded[..., tail:tail + m] = bits
+    coded = np.zeros(lead + (n_steps, 2), dtype=np.uint8)
+    for column, generator in enumerate(code.generators):
+        for lag in range(k):
+            if generator >> (k - 1 - lag) & 1:
+                coded[..., column] ^= padded[..., tail - lag:tail - lag + n_steps]
     return coded.reshape(lead + (2 * n_steps,))
 
 

@@ -13,7 +13,7 @@ Schema reference (types: f float, i int, b bool, s string, f* float list):
 ofdm.n_fft i, ofdm.cp_len i, ofdm.pilot_spacing i, ofdm.n_null i
 channel.n_taps i, channel.mean_arrival f, channel.decay f
 noise.model s (bg|mca|sas)
-noise.epsilon f (in [0, 1]), noise.sir_db f, noise.burst_len i  (bg)
+noise.epsilon f (in [0, 1]), noise.sir_db f, noise.burst_len i (>= 1)  (bg)
 noise.a f, noise.gamma f, noise.j_trunc i                        (mca)
 noise.alpha f, noise.beta f, noise.scale f, noise.loc f          (sas)
 grid.ebn0_db f*
@@ -23,6 +23,8 @@ sweep.p_fa f (in (0, 1): the false-alarm rate of the per-block
 sweep.min_errors i, sweep.max_bits i, sweep.perfect_csi b
 interleaver.tx_enabled b, interleaver.tx_rows i, interleaver.tx_cols i
 interleaver.time_enabled b, interleaver.time_rows i, interleaver.time_cols i
+    (rows and cols >= 1; an enabled grid holds at least the 2 * n_data coded
+    bits (tx) or the n_fft + cp_len samples (time) of one symbol)
 detector.half_width i (n >= 1 with 2n+1 <= ofdm.n_fft)
 train.ebn0_db f*, train.sir_db f*, train.epsilon f* (each in [0, 1]),
 train.symbols i, train.epochs i (>= 1), train.batch_size i (>= 1),
@@ -159,12 +161,14 @@ def resolve_config(file_values: Optional[Mapping[str, str]] = None,
     ranges = (
         ("sweep.p_fa", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
         ("noise.epsilon", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+        ("noise.burst_len", lambda v: v >= 1, "at least 1"),
         ("train.epsilon", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
         ("train.epochs", lambda v: v >= 1, "at least 1"),
         ("train.batch_size", lambda v: v >= 1, "at least 1"),
         ("detector.half_width", lambda v: 1 <= v and 2 * v + 1 <= n_fft,
          f"at least 1, with a window 2n+1 no longer than ofdm.n_fft = {n_fft}"),
-    )
+    ) + tuple((f"interleaver.{which}_{side}", lambda v: v >= 1, "at least 1")
+              for which in ("tx", "time") for side in ("rows", "cols"))
     for key, in_range, rule in ranges:
         value = typed[key]
         for item in value if isinstance(value, tuple) else (value,):
@@ -243,6 +247,16 @@ def build_config(typed: Mapping[str, object]) -> ExperimentConfig:
     time_il = InterleaverSpec(typed["interleaver.time_rows"],
                               typed["interleaver.time_cols"]) \
         if typed["interleaver.time_enabled"] else None
+    # An enabled interleaver's grid must hold what it permutes per symbol:
+    # the coded bits (tx) or the transmitted samples (time).
+    for which, spec, length, unit in (
+            ("tx", tx_il, 2 * ofdm.n_data, "coded bits"),
+            ("time", time_il, ofdm.symbol_len, "samples")):
+        if spec is not None and spec.capacity < length:
+            raise ValueError(
+                f"config keys 'interleaver.{which}_rows' and "
+                f"'interleaver.{which}_cols': a {spec.rows}x{spec.cols} grid "
+                f"cannot hold the {length} {unit} of one symbol")
     train_cfg = TrainConfig(eta=typed["train.eta"], lam=typed["train.lam"],
                             epochs=typed["train.epochs"],
                             batch_size=typed["train.batch_size"],

@@ -15,13 +15,30 @@ block edges):
 
 Features are computed blockwise and depend only on samples within the
 window, so detection latency is bounded by n.
+
+How :func:`extract_features` computes them: the rows are reflect-padded
+once, then taken whole, about DETECTOR_BLOCK_ROWS samples at a time, so
+every window-sized temporary stays cache-sized.  For x2, each of the 2n
+neighbour offsets writes its absolute differences to the centres straight
+into one contiguous (rows, T, 2n) buffer, in window order, and numpy's partition at n-1 followed by a sum of
+the first n entries gives the ROAD; the buffer holds the same values in the
+same layout as a window copy with its centre deleted, so the partition and
+the summation order are numpy's own either way.  For x3, the median of the
+2n+1 shifted magnitude views comes from Batcher's odd-even merge sorting
+network pruned to its middle output (Batcher, "Sorting networks and their
+applications", AFIPS 1968) and run with elementwise np.minimum/np.maximum:
+it selects without arithmetic, so it is exact, and a NaN anywhere in a
+window reaches the median as it does with np.median.  ROAD and the median
+rank different quantities (complex differences to each centre against
+magnitudes), so they share no sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +47,13 @@ DEFAULT_HALF_WIDTH = 5
 
 #: Standard deviations below this are clamped before normalization divides.
 STD_FLOOR = 1e-12
+
+#: Feature rows (one per sample) per block of :func:`extract_features`,
+#: which takes whole rows of samples at a time, and of the network's
+#: forward pass in :func:`inofdm.dnn.predict_proba` and
+#: :func:`inofdm.dnn.loss_value`: one block's temporaries stay
+#: cache-resident.
+DETECTOR_BLOCK_ROWS = 4096
 
 
 def road(window: np.ndarray) -> float:
@@ -64,6 +88,78 @@ def median_deviation(window: np.ndarray) -> float:
     return float(mags[len(window) // 2] - np.median(mags))
 
 
+def _odd_even_merge_sort(size: int):
+    """Comparators (i, j), i < j, of Batcher's odd-even merge sort of
+    ``size`` inputs: the power-of-two network with every comparator that
+    touches an index >= size left out (those wires would hold +inf)."""
+    p = 1
+    while p < size:
+        k = p
+        while k >= 1:
+            for j in range(k % p, size - k, 2 * k):
+                for i in range(min(k, size - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        yield i + j, i + j + k
+            k //= 2
+        p *= 2
+
+
+@lru_cache(maxsize=None)
+def _median_network(size: int) -> Tuple[Tuple[int, int, bool, bool], ...]:
+    """The sorting network for odd ``size`` pruned to its middle output.
+
+    Walking the comparators backwards from wire size // 2, a comparator is
+    kept when an output it writes is still needed, and then both of its
+    inputs are.  Each kept entry (i, j, want_min, want_max) says which of
+    its two outputs a later comparator (or the median) reads.
+    """
+    needed = {size // 2}
+    kept = []
+    for lo, hi in reversed(list(_odd_even_merge_sort(size))):
+        want_min, want_max = lo in needed, hi in needed
+        if want_min or want_max:
+            kept.append((lo, hi, want_min, want_max))
+            needed.update((lo, hi))
+    return tuple(reversed(kept))
+
+
+def _window_median(wires: Iterable[np.ndarray]) -> np.ndarray:
+    """Elementwise median of an odd number of equal-shape arrays.
+
+    Runs :func:`_median_network` with np.minimum/np.maximum, so it selects
+    one input per element and does no arithmetic; both propagate NaN, so an
+    element with a NaN among its inputs comes out NaN.
+    """
+    wires = list(wires)
+    for lo, hi, want_min, want_max in _median_network(len(wires)):
+        a, b = wires[lo], wires[hi]
+        if want_min:
+            wires[lo] = np.minimum(a, b)
+        if want_max:
+            wires[hi] = np.maximum(a, b)
+    return wires[len(wires) // 2]
+
+
+def _features_block(padded: np.ndarray, mag_padded: np.ndarray, n: int,
+                    out: np.ndarray) -> None:
+    """Write (x1, x2, x3) of rows of T >= 2 samples into ``out`` (rows, T,
+    3), from the rows reflect-padded by n on each side and their
+    magnitudes."""
+    t_len = out.shape[1]
+    width = 2 * n + 1
+    samples = padded[:, n:n + t_len]
+    mags = mag_padded[:, n:n + t_len]
+    # |r_{k+j-n} - r_k| for the 2n neighbour offsets j != n, in window order.
+    diffs = np.empty(samples.shape + (2 * n,), dtype=mags.dtype)
+    for column, j in enumerate(chain(range(n), range(n + 1, width))):
+        np.abs(padded[:, j:j + t_len] - samples, out=diffs[..., column])
+    diffs.partition(n - 1, axis=-1)
+    medians = _window_median(mag_padded[:, j:j + t_len] for j in range(width))
+    out[..., 0] = mags
+    out[..., 1] = diffs[..., :n].sum(axis=-1)
+    out[..., 2] = np.abs(mags - medians)
+
+
 def extract_features(samples: np.ndarray,
                      n: int = DEFAULT_HALF_WIDTH) -> np.ndarray:
     """Compute (x1, x2, x3) for every sample of one or more blocks.
@@ -81,26 +177,22 @@ def extract_features(samples: np.ndarray,
         raise ValueError("window half-width must be at least 1")
     if samples.shape[-1] < 1:
         raise ValueError("blocks must contain at least one sample")
-    mags = np.abs(samples)
-    if samples.shape[-1] == 1:
+    t_len = samples.shape[-1]
+    if t_len == 1:
         # A reflected window of a single sample is constant: no differences,
         # no deviation from the median.
         out = np.zeros(samples.shape + (3,))
-        out[..., 0] = mags
+        out[..., 0] = np.abs(samples)
         return out
-    pad = [(0, 0)] * (samples.ndim - 1) + [(n, n)]
-    padded = np.pad(samples, pad, mode="reflect")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * n + 1, axis=-1)
-    diffs = np.abs(windows - windows[..., n:n + 1])
-    diffs = np.delete(diffs, n, axis=-1)
-    smallest = np.partition(diffs, n - 1, axis=-1)[..., :n]
-    mag_windows = np.lib.stride_tricks.sliding_window_view(
-        np.pad(mags, pad, mode="reflect"), 2 * n + 1, axis=-1)
-    medians = np.median(mag_windows, axis=-1)
     out = np.empty(samples.shape + (3,))
-    out[..., 0] = mags
-    out[..., 1] = smallest.sum(axis=-1)
-    out[..., 2] = np.abs(mags - medians)
+    out_rows = out.reshape(-1, t_len, 3)
+    padded = np.pad(samples.reshape(-1, t_len), [(0, 0), (n, n)], mode="reflect")
+    mag_padded = np.abs(padded)
+    step = max(1, DETECTOR_BLOCK_ROWS // t_len)
+    for start in range(0, len(out_rows), step):
+        stop = start + step
+        _features_block(padded[start:stop], mag_padded[start:stop], n,
+                        out_rows[start:stop])
     return out
 
 

@@ -4,6 +4,7 @@ diagnostics that name the offending key."""
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +297,12 @@ def test_out_of_range_p_fa_names_key_at_load(cfg_file, tmp_path, capsys, p_fa):
     ("train.batch_size", "0"),
     ("detector.half_width", "0"),
     ("detector.half_width", "64"),  # window 129 > ofdm.n_fft = 128
+    ("noise.burst_len", "0"),
+    ("noise.burst_len", "-1"),
+    ("interleaver.tx_rows", "0"),
+    ("interleaver.tx_cols", "0"),
+    ("interleaver.time_rows", "0"),
+    ("interleaver.time_cols", "-2"),
 ])
 def test_out_of_range_value_names_key_at_load(cfg_file, tmp_path, capsys,
                                               key, value):
@@ -316,6 +323,55 @@ def test_range_limits_are_inclusive(cfg_file):
         "train.batch_size": "1", "detector.half_width": "63"})
     config_mod.load_config(cfg_file, {"noise.epsilon": "0",
                                       "detector.half_width": "1"})
+
+
+@pytest.mark.parametrize("which, overrides", [
+    # 2 * 84 = 168 coded bits per symbol of the small link; 7x22 holds 154.
+    ("tx", {"interleaver.tx_rows": "7"}),
+    # 128 + 16 = 144 samples per symbol; 12x11 holds 132.
+    ("time", {"interleaver.time_enabled": "true", "interleaver.time_rows": "12",
+              "interleaver.time_cols": "11"}),
+])
+def test_interleaver_too_small_for_a_symbol_names_keys_at_load(
+        cfg_file, tmp_path, capsys, which, overrides):
+    # Before, the run failed mid-sweep with 'sequence of N exceeds RxC grid'.
+    sets = [arg for key, value in overrides.items()
+            for arg in ("--set", f"{key}={value}")]
+    rc = run_cli("gen-dataset", "--config", cfg_file, *sets,
+                 "--out", tmp_path / "d.csv")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"'interleaver.{which}_rows'" in err
+    assert f"'interleaver.{which}_cols'" in err
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_interleaver_that_exactly_holds_a_symbol_loads(cfg_file):
+    cfg = config_mod.load_config(cfg_file, {
+        "interleaver.tx_rows": "8", "interleaver.tx_cols": "21",
+        "interleaver.time_enabled": "true", "interleaver.time_rows": "12",
+        "interleaver.time_cols": "12", "noise.burst_len": "1"})
+    assert cfg.tx_interleaver.capacity == 2 * cfg.ofdm.n_data
+    assert cfg.time_interleaver.capacity == cfg.ofdm.symbol_len
+
+
+def test_disabled_interleaver_grid_is_not_sized(cfg_file):
+    cfg = config_mod.load_config(cfg_file, {"interleaver.tx_enabled": "false",
+                                            "interleaver.tx_rows": "1"})
+    assert cfg.tx_interleaver is None
+
+
+@pytest.mark.parametrize("path, digest", [
+    (None, "f071dcca593f"),
+    ("configs/bg_sir0.cfg", "73473291a620"),
+    ("configs/bursty_time_interleaved.cfg", "a6300efafba7"),
+    ("configs/sas_mismatch.cfg", "272f090eae81"),
+])
+def test_shipped_config_hashes_are_pinned(path, digest):
+    # Load-time checks must not change the hash of a valid configuration.
+    root = Path(__file__).resolve().parent.parent
+    assert config_mod.load_config(
+        None if path is None else root / path).config_hash == digest
 
 
 def test_malformed_override_is_rejected(cfg_file, tmp_path, capsys):

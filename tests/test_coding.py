@@ -10,6 +10,7 @@ from inofdm.coding import (
     DEFAULT_CODE,
     ConvCode,
     InterleaverSpec,
+    _tables,
     conv_encode,
     deinterleave,
     interleave,
@@ -32,6 +33,30 @@ def reference_encode(bits, generators=(0o171, 0o133), k=7):
         for tap in taps:
             out.append(sum(t * r for t, r in zip(tap, register)) % 2)
     return np.array(out, dtype=np.uint8)
+
+
+def reference_conv_encode(bits, code=DEFAULT_CODE):
+    """Step-at-a-time table encoder, vectorised across rows only (oracle).
+
+    The previous library encoder: one branch-table lookup per trellis step,
+    the state shifting in one input bit per step.
+    """
+    bits = np.asarray(bits)
+    out_pair = _tables(code)
+    lead = bits.shape[:-1]
+    m = bits.shape[-1]
+    flat = bits.reshape(-1, m).astype(np.intp)
+    n_steps = m + code.n_tail
+    coded = np.empty((flat.shape[0], 2 * n_steps), dtype=np.uint8)
+    state = np.zeros(flat.shape[0], dtype=np.intp)
+    mask = code.n_states - 1
+    for t in range(n_steps):
+        u = flat[:, t] if t < m else np.zeros_like(state)
+        pair = out_pair[state, u]
+        coded[:, 2 * t] = pair >> 1
+        coded[:, 2 * t + 1] = pair & 1
+        state = ((state << 1) | u) & mask
+    return coded.reshape(lead + (2 * n_steps,))
 
 
 def reference_viterbi(llrs, generators=(0o171, 0o133), k=7):
@@ -113,6 +138,31 @@ def test_random_messages_match_shift_register_oracle():
     for _ in range(25):
         bits = rng.integers(0, 2, size=rng.integers(1, 60), dtype=np.uint8)
         np.testing.assert_array_equal(conv_encode(bits), reference_encode(bits))
+
+
+@given(lead=st.sampled_from([(), (3,), (2, 3)]), m=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_encoder_matches_step_at_a_time_reference(lead, m, seed):
+    bits = np.random.default_rng(seed).integers(0, 2, size=lead + (m,),
+                                                dtype=np.uint8)
+    coded = conv_encode(bits)
+    assert coded.dtype == np.uint8
+    assert coded.tobytes() == reference_conv_encode(bits).tobytes()
+    assert coded.shape == lead + (2 * (m + DEFAULT_CODE.n_tail),)
+
+
+def test_encoder_matches_reference_on_a_link_batch():
+    bits = np.random.default_rng(7).integers(0, 2, size=(32, 666), dtype=np.uint8)
+    assert conv_encode(bits).tobytes() == reference_conv_encode(bits).tobytes()
+
+
+@pytest.mark.parametrize("code", [ConvCode(3, (0o7, 0o5)), ConvCode(5, (0o23, 0o35)),
+                                  ConvCode(7, (0o1, 0o100))])
+def test_encoder_matches_reference_for_other_codes(code):
+    bits = np.random.default_rng(8).integers(0, 2, size=(4, 50), dtype=np.uint8)
+    np.testing.assert_array_equal(conv_encode(bits, code),
+                                  reference_conv_encode(bits, code))
 
 
 def test_encode_output_length_and_rate():

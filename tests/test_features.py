@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from inofdm.features import (
     DATASET_BLOCK_ROWS,
+    DETECTOR_BLOCK_ROWS,
     FeatureNormalizer,
+    _median_network,
+    _odd_even_merge_sort,
+    _window_median,
     apply_normalizer,
     extract_features,
     fit_normalizer,
@@ -146,6 +150,119 @@ class TestExtractFeatures:
             extract_features(np.zeros(10), n=0)
         with pytest.raises(ValueError):
             extract_features(np.zeros((3, 0)))
+
+
+def reference_extract_features(samples, n=5):
+    """The previous vectorised extractor (oracle): one complex (..., T,
+    2n+1) window copy with the centre deleted for ROAD, and np.median over
+    a sliding window view of the magnitudes."""
+    samples = np.asarray(samples)
+    mags = np.abs(samples)
+    if samples.shape[-1] == 1:
+        out = np.zeros(samples.shape + (3,))
+        out[..., 0] = mags
+        return out
+    pad = [(0, 0)] * (samples.ndim - 1) + [(n, n)]
+    padded = np.pad(samples, pad, mode="reflect")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * n + 1, axis=-1)
+    diffs = np.abs(windows - windows[..., n:n + 1])
+    diffs = np.delete(diffs, n, axis=-1)
+    smallest = np.partition(diffs, n - 1, axis=-1)[..., :n]
+    mag_windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(mags, pad, mode="reflect"), 2 * n + 1, axis=-1)
+    medians = np.median(mag_windows, axis=-1)
+    out = np.empty(samples.shape + (3,))
+    out[..., 0] = mags
+    out[..., 1] = smallest.sum(axis=-1)
+    out[..., 2] = np.abs(mags - medians)
+    return out
+
+
+SPECIAL_SAMPLES = [0.0, -0.0, complex(-0.0, -0.0), np.inf, -np.inf,
+                   complex(0.0, np.inf), np.nan, complex(np.nan, 1.0),
+                   1e300, complex(-1e300, 1e300)]
+
+
+def feature_input(rng, shape, kind, dtype, n_special):
+    if kind == "random":
+        samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    elif kind == "ties":
+        samples = rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+    else:
+        samples = np.zeros(shape, dtype=complex)
+    samples = np.array(samples.real if dtype is float else samples, dtype=dtype)
+    flat = samples.reshape(-1)
+    hits = rng.integers(0, flat.size, n_special)
+    picks = rng.integers(0, len(SPECIAL_SAMPLES), n_special)
+    for hit, pick in zip(hits, picks):
+        value = SPECIAL_SAMPLES[pick]
+        flat[hit] = value.real if dtype is float else value
+    return samples
+
+
+@st.composite
+def feature_cases(draw):
+    n = draw(st.integers(1, 8))
+    t_len = draw(st.one_of(st.integers(1, 3 * n + 3), st.sampled_from([1024, 1088])))
+    per_block = max(1, DETECTOR_BLOCK_ROWS // t_len)
+    lead = draw(st.sampled_from([(), (5,), (2, 3), (per_block - 1,), (per_block,),
+                                 (per_block + 1,)]))
+    return n, lead + (t_len,)
+
+
+@given(case=feature_cases(), kind=st.sampled_from(["random", "ties", "zeros"]),
+       dtype=st.sampled_from([complex, float]), n_special=st.integers(0, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_extract_features_matches_reference_bytes(case, kind, dtype, n_special, seed):
+    n, shape = case
+    samples = feature_input(np.random.default_rng(seed), shape, kind, dtype,
+                            n_special)
+    with np.errstate(all="ignore"):
+        got = extract_features(samples, n=n)
+        want = reference_extract_features(samples, n=n)
+    assert got.shape == want.shape == shape + (3,)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [DETECTOR_BLOCK_ROWS // 1024 - 1,
+                                  DETECTOR_BLOCK_ROWS // 1024,
+                                  DETECTOR_BLOCK_ROWS // 1024 + 1,
+                                  3 * (DETECTOR_BLOCK_ROWS // 1024) + 7])
+def test_extract_features_matches_reference_on_link_blocks(rows):
+    rng = np.random.default_rng(rows)
+    samples = rng.standard_normal((rows, 1024)) + 1j * rng.standard_normal((rows, 1024))
+    samples[:, ::97] *= 30.0  # impulses
+    got = extract_features(samples)
+    assert got.tobytes() == reference_extract_features(samples).tobytes()
+
+
+@pytest.mark.parametrize("size", range(3, 18, 2))
+def test_median_network_selects_the_median_of_every_0_1_input(size):
+    # 0-1 principle: a comparator network that puts the median of every
+    # 0/1 input on its middle wire does so for every input.
+    codes = np.arange(2 ** size)
+    wires = [(codes >> i) & 1 for i in range(size)]
+    median = (sum(wires) > size // 2).astype(codes.dtype)
+    np.testing.assert_array_equal(_window_median(wires), median)
+
+
+@pytest.mark.parametrize("size", range(3, 18, 2))
+def test_median_network_propagates_nan_from_every_input(size):
+    rng = np.random.default_rng(size)
+    for j in range(size):
+        wires = [np.array([v, -v, 0.0]) for v in rng.standard_normal(size)]
+        wires[j] = np.full(3, np.nan)
+        assert np.isnan(_window_median(wires)).all()
+
+
+def test_median_network_is_pruned():
+    # Batcher's network sorts 11 inputs with 38 comparators (the 16-input
+    # network's 63 less those touching wires 11-15); the median needs 32.
+    assert len(list(_odd_even_merge_sort(11))) == 38
+    assert len(_median_network(11)) == 32
+    assert all(want_min or want_max for _, _, want_min, want_max
+               in _median_network(11))
 
 
 def test_normalizer_roundtrip_statistics():

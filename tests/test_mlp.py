@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from inofdm.dnn import (
     EPS_CLAMP,
     LAYER_SIZES,
-    LOSS_BLOCK_ROWS,
     MlpParams,
     TrainConfig,
     adam_step,
@@ -32,7 +31,7 @@ from inofdm.dnn import (
     train,
     xavier_init,
 )
-from inofdm.features import FeatureNormalizer
+from inofdm.features import DETECTOR_BLOCK_ROWS, FeatureNormalizer
 
 MODEL_PATH = Path(__file__).resolve().parent.parent / "models" / "detector.txt"
 
@@ -227,8 +226,13 @@ def whole_array_loss(params, x, y, lam):
     return float(bce + lam / (2.0 * len(y)) * penalty)
 
 
-@pytest.mark.parametrize("m", [LOSS_BLOCK_ROWS - 1, LOSS_BLOCK_ROWS,
-                               LOSS_BLOCK_ROWS + 1, 3 * LOSS_BLOCK_ROWS + 7])
+# Four forward blocks; m = rows - 1, rows, rows + 1 and 3 * rows + 7 leave a
+# last block of DETECTOR_BLOCK_ROWS - 1, DETECTOR_BLOCK_ROWS, 1 and 7 rows.
+LOSS_ROWS = 4 * DETECTOR_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("m", [LOSS_ROWS - 1, LOSS_ROWS, LOSS_ROWS + 1,
+                               3 * LOSS_ROWS + 7])
 @pytest.mark.parametrize("model", ["random", "shipped"])
 def test_blocked_loss_equals_whole_array_loss_exactly(m, model):
     params = random_params(m, scale=3.0) if model == "random" else load_model(MODEL_PATH)
@@ -488,6 +492,40 @@ def test_predict_proba_applies_the_stored_normalizer():
     raw = np.random.default_rng(32).standard_normal((50, 3))
     expected = forward(params, (raw - norm.mean) / norm.std)
     np.testing.assert_array_equal(predict_proba(params, raw), expected)
+
+
+@pytest.mark.parametrize("m", [DETECTOR_BLOCK_ROWS - 1, DETECTOR_BLOCK_ROWS,
+                               DETECTOR_BLOCK_ROWS + 1, 3 * DETECTOR_BLOCK_ROWS + 7])
+@pytest.mark.parametrize("model", ["random", "shipped"])
+def test_blocked_inference_equals_one_unblocked_forward(m, model):
+    if model == "random":
+        norm = FeatureNormalizer(mean=np.array([0.5, 1.0, -0.3]),
+                                 std=np.array([1.5, 0.7, 2.0]))
+        params = MlpParams(normalizer=norm, **random_params(m, scale=3.0).as_dict())
+    else:
+        params = load_model(MODEL_PATH)
+    rng = np.random.default_rng(m)
+    raw = rng.standard_normal((m, 3)) * 3.0
+    if model == "shipped":
+        raw = np.abs(raw)
+        raw[::11] *= 40.0  # impulse-like rows on the far side of the boundary
+    whole = forward(params, (raw - params.normalizer.mean) / params.normalizer.std)
+    proba = predict_proba(params, raw)
+    assert proba.tobytes() == whole.tobytes()
+    decisions = classify(params, raw)
+    assert decisions.dtype == np.uint8
+    assert decisions.tobytes() == (whole >= 0.5).astype(np.uint8).tobytes()
+    if model == "shipped":
+        assert 0 < decisions.sum() < m
+    lead = predict_proba(params, raw[:m - m % 2].reshape(2, -1, 3))
+    assert lead.tobytes() == whole[:m - m % 2].tobytes()
+
+
+def test_predict_proba_rejects_wrong_feature_width():
+    with pytest.raises(ValueError):
+        predict_proba(zero_params(), np.zeros((2, 6)))
+    with pytest.raises(ValueError):
+        predict_proba(zero_params(), np.float64(1.0))
 
 
 def test_classify_threshold_semantics():
