@@ -88,10 +88,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         if args.model is None:
             raise ValueError("--model is required for the network detector")
         params = dnn.load_model(args.model)
-    name = "dnn" if args.detector == "dnn" else "bln"
-    detector = link.build_policy(cfg, name, params).detector
     ebn0 = args.ebn0 if args.ebn0 is not None else cfg.ebn0_db[0]
-    report = link.detection_rates(cfg, detector, ebn0, n_symbols=args.symbols)
+    report = link.detection_rates(cfg, args.detector, ebn0,
+                                  n_symbols=args.symbols, params=params)
     print(f"detector={args.detector} ebn0_db={ebn0:g}")
     print(f"detection_rate={report.detection_rate:.6g}")
     print(f"false_alarm_rate={report.false_alarm_rate:.6g}")

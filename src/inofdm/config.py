@@ -10,8 +10,10 @@ settings.
 
 Schema reference (types: f float, i int, b bool, s string, f* float list):
 
-ofdm.n_fft i, ofdm.cp_len i, ofdm.pilot_spacing i, ofdm.n_null i
-channel.n_taps i, channel.mean_arrival f, channel.decay f
+ofdm.n_fft i, ofdm.cp_len i, ofdm.pilot_spacing i (1 <= s < n_fft),
+ofdm.n_null i (even, >= 0, leaving n_tail + 1 or more data carriers)
+channel.n_taps i (1 <= n_taps <= ofdm.cp_len), channel.mean_arrival f,
+channel.decay f
 noise.model s (bg|mca|sas)
 noise.epsilon f (in [0, 1]), noise.sir_db f, noise.burst_len i (>= 1)  (bg)
 noise.a f, noise.gamma f, noise.j_trunc i                        (mca)
@@ -39,12 +41,12 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .coding import InterleaverSpec
+from .coding import DEFAULT_CODE, InterleaverSpec
 from .dnn import TrainConfig
+from .mitigation import POLICY_NAMES
 from .ofdm import ChannelProfile, OfdmConfig, make_config
 
 _NOISE_MODELS = ("bg", "mca", "sas")
-_POLICY_NAMES = ("none", "bln", "clp", "dnn", "dnn-clp")
 
 
 def _parse_bool(text: str) -> bool:
@@ -157,8 +159,19 @@ def resolve_config(file_values: Optional[Mapping[str, str]] = None,
     model = typed["noise.model"]
     if model not in _NOISE_MODELS:
         raise ValueError(f"config key 'noise.model': must be one of {_NOISE_MODELS}")
-    n_fft = typed["ofdm.n_fft"]
+    n_fft, cp_len = typed["ofdm.n_fft"], typed["ofdm.cp_len"]
+    spacing = typed["ofdm.pilot_spacing"]
     ranges = (
+        ("ofdm.pilot_spacing", lambda v: 1 <= v < n_fft,
+         f"at least 1 and below ofdm.n_fft = {n_fft}"),
+        # The data carriers, neither pilot nor null, must outnumber the tail.
+        ("ofdm.n_null", lambda v: v % 2 == 0 and 0 <= v <= (
+            n_fft - len(range(0, n_fft, spacing)) - DEFAULT_CODE.n_tail - 1),
+         f"even, at least 0, and leaving {DEFAULT_CODE.n_tail + 1} or more "
+         "data carriers"),
+        # Path delays rise strictly from 0 and must stay inside the prefix.
+        ("channel.n_taps", lambda v: 1 <= v <= cp_len,
+         f"at least 1 and at most ofdm.cp_len = {cp_len}"),
         ("sweep.p_fa", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
         ("noise.epsilon", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
         ("noise.burst_len", lambda v: v >= 1, "at least 1"),
@@ -175,7 +188,7 @@ def resolve_config(file_values: Optional[Mapping[str, str]] = None,
             if not in_range(item):
                 raise ValueError(f"config key {key!r}: must be {rule}, got {item}")
     for name in str(typed["sweep.policies"]).split(","):
-        if name.strip() not in _POLICY_NAMES:
+        if name.strip() not in POLICY_NAMES:
             raise ValueError(
                 f"config key 'sweep.policies': unknown policy {name.strip()!r}")
     return typed

@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .features import DETECTOR_BLOCK_ROWS, FeatureNormalizer, fit_normalizer
+from .features import (DETECTOR_BLOCK_ROWS, FeatureNormalizer,
+                       apply_normalizer, fit_normalizer)
 
 #: Layer widths, input to output.
 LAYER_SIZES = (3, 20, 10, 1)
@@ -277,7 +278,7 @@ def train(features: np.ndarray, labels: np.ndarray,
         raise ValueError("labels must match a nonempty feature matrix")
     rng = np.random.default_rng(cfg.seed)
     normalizer = fit_normalizer(features)
-    x = (features - normalizer.mean) / normalizer.std
+    x = apply_normalizer(features, normalizer)
     params = init_params(rng, normalizer, train_seed=cfg.seed)
     state = init_adam(params, eta=cfg.eta)
     losses: List[float] = []

@@ -50,8 +50,8 @@ from .coding import (CODE_RATE, DEFAULT_CODE, conv_encode, deinterleave,
                      interleave, viterbi_decode_soft)
 from .config import ExperimentConfig
 from .dnn import MlpParams
-from .mitigation import (Blank, Clip, Detector, DnnDetector, MitigationPolicy,
-                         ThresholdDetector, detect, detector_features, mitigate)
+from .mitigation import (DetectorSettings, detect, detector_features,
+                         estimate_clean_power, mitigate)
 from .noise_models import (BGNoise, MCANoise, NoiseSpec, SASNoise,
                            mca_component, sample_noise)
 from .ofdm import (ChannelRealization, assemble_active, channel_apply,
@@ -191,16 +191,16 @@ def receiver_stream_labels(cfg: ExperimentConfig,
 
 
 def receive_llrs(cfg: ExperimentConfig, batch: SymbolBatch,
-                 policy: MitigationPolicy) -> np.ndarray:
-    """Receiver front end under one mitigation policy, up to the decoder.
+                 cleaned: np.ndarray) -> np.ndarray:
+    """Receiver front end after mitigation, up to the decoder.
 
-    Mitigation, DFT, channel estimate, equalization, per-bit LLRs and the
-    bit deinterleaver.
+    ``cleaned`` is one policy's :func:`mitigate` output for the batch's
+    :func:`receiver_stream`.  DFT, channel estimate, equalization, per-bit
+    LLRs and the bit deinterleaver.
 
     Returns:
         Coded-bit LLRs in encoder order, shape (B, 2 * n_data).
     """
-    cleaned = mitigate(receiver_stream(cfg, batch), policy)
     if cfg.time_interleaver is not None:
         natural = deinterleave(cleaned, cfg.time_interleaver)
         body = natural[:, cfg.ofdm.cp_len:]
@@ -222,40 +222,13 @@ def receive_llrs(cfg: ExperimentConfig, batch: SymbolBatch,
 
 
 def receive_batch(cfg: ExperimentConfig, batch: SymbolBatch,
-                  policy: MitigationPolicy) -> np.ndarray:
-    """Decode a simulated batch under one mitigation policy.
+                  cleaned: np.ndarray) -> np.ndarray:
+    """Decode a simulated batch from one policy's cleaned stream.
 
     Returns:
         Decoded message bits, shape matching ``batch.tx_bits``.
     """
-    return viterbi_decode_soft(receive_llrs(cfg, batch, policy))
-
-
-def build_policy(cfg: ExperimentConfig, name: str,
-                 params: Optional[MlpParams] = None) -> MitigationPolicy:
-    """Instantiate one of the named policies.
-
-    none - pass-through; bln/clp - threshold detection at the configured
-    false-alarm rate with blanking/clipping; dnn/dnn-clp - network
-    detection with blanking/clipping.  The threshold policies calibrate
-    their level from the robust per-block power estimate rather than the
-    model-implied average: with per-symbol fading a fixed average-power
-    level over-blanks strong symbols and floors the curve near 1e-2, and
-    a practical receiver tracks its own front-end level anyway.  Every clip
-    ceiling is that per-block level at the configured false-alarm rate.
-    """
-    if name == "none":
-        return MitigationPolicy(None, Blank(), name="none")
-    if name in ("bln", "clp"):
-        detector = ThresholdDetector(p_fa=cfg.p_fa)
-    elif name in ("dnn", "dnn-clp"):
-        if params is None:
-            raise ValueError(f"policy {name!r} needs trained model parameters")
-        detector = DnnDetector(params=params, half_width=cfg.half_width)
-    else:
-        raise ValueError(f"unknown policy {name!r}")
-    suppressor = Clip(p_fa=cfg.p_fa) if name.endswith("clp") else Blank()
-    return MitigationPolicy(detector, suppressor, name=name)
+    return viterbi_decode_soft(receive_llrs(cfg, batch, cleaned))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +270,8 @@ def generate_dataset(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
             (cfg.seed, _TAG_DATASET, ci)))
         batch = simulate_batch(point_cfg, ebn0, count, rng)
         body = receiver_stream(point_cfg, batch)
-        feats = detector_features(body, cfg.half_width)
+        feats = detector_features(body, cfg.half_width,
+                                  estimate_clean_power(body))
         feature_parts.append(feats.reshape(-1, 3))
         label_parts.append(receiver_stream_labels(point_cfg, batch).reshape(-1))
     features = np.concatenate(feature_parts, axis=0)
@@ -340,40 +314,42 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
     """Paired Monte Carlo BER curves for every configured policy.
 
     All policies at a grid point decode the *same* batches (common random
-    numbers); each batch's LLR rows of every policy go through one decoder
-    call.  Each point accumulates whole batches until every policy has
-    at least ``cfg.min_errors`` bit errors or ``cfg.max_bits`` information
-    bits have been simulated, whichever comes first.
+    numbers); each batch is mitigated for every policy in one pass, and its
+    LLR rows of every policy go through one decoder call.  Each point
+    accumulates whole batches until every policy has at least
+    ``cfg.min_errors`` bit errors or ``cfg.max_bits`` information bits have
+    been simulated, whichever comes first.
     """
     m = bits_per_symbol(cfg)
     curves = {name: BerCurve(detector=name, points=[],
                              config_hash=cfg.config_hash, seed=cfg.seed)
               for name in cfg.policies}
-    policies = {name: build_policy(cfg, name, params)
-                for name in cfg.policies}
+    names = tuple(curves)
+    settings = DetectorSettings(cfg.p_fa, params, cfg.half_width)
     for point_idx, ebn0 in enumerate(cfg.ebn0_db):
-        errors = {name: 0 for name in policies}
+        errors = dict.fromkeys(names, 0)
         bits = 0
         batch_idx = 0
         while True:
             rng = np.random.default_rng(np.random.SeedSequence(
                 (cfg.seed, _TAG_SWEEP, point_idx, batch_idx)))
             batch = simulate_batch(cfg, ebn0, BATCH_SYMBOLS, rng)
+            # The cleaned streams are freed before the decoder runs.
             decoded = viterbi_decode_soft(np.concatenate(
-                [receive_llrs(cfg, batch, p) for p in policies.values()]))
-            for name, policy_bits in zip(policies,
-                                         np.split(decoded, len(policies))):
+                [receive_llrs(cfg, batch, cleaned) for cleaned in
+                 mitigate(receiver_stream(cfg, batch), names, settings)]))
+            for name, policy_bits in zip(names, np.split(decoded, len(names))):
                 errors[name] += int(np.sum(policy_bits != batch.tx_bits))
             bits += BATCH_SYMBOLS * m
             batch_idx += 1
             if bits >= cfg.max_bits or min(errors.values()) >= cfg.min_errors:
                 break
-        for name in policies:
+        for name in names:
             curves[name].points.append(BerPoint(
                 ebn0_db=ebn0, ber=errors[name] / bits, bits=bits,
                 errors=errors[name]))
         if log is not None:
-            summary = " ".join(f"{n}={errors[n] / bits:.3g}" for n in policies)
+            summary = " ".join(f"{n}={errors[n] / bits:.3g}" for n in names)
             log(f"ebn0={ebn0:g} dB bits={bits} {summary}")
     return curves
 
@@ -433,13 +409,16 @@ class DetectionReport:
     n_clean: int
 
 
-def detection_rates(cfg: ExperimentConfig, detector: Detector,
-                    ebn0_db: float, n_symbols: int = 200) -> DetectionReport:
-    """Measure detection/false-alarm/miss rates on labeled noise.
+def detection_rates(cfg: ExperimentConfig, kind: str, ebn0_db: float,
+                    n_symbols: int = 200,
+                    params: Optional[MlpParams] = None) -> DetectionReport:
+    """Measure the ``"threshold"`` or ``"dnn"`` detector's
+    detection/false-alarm/miss rates on labeled noise.
 
     Raises:
         ValueError: For stable noise, which carries no ground-truth labels.
     """
+    settings = DetectorSettings(cfg.p_fa, params, cfg.half_width)
     hits = misses = false_alarms = clean = 0
     done = 0
     batch_idx = 0
@@ -451,7 +430,8 @@ def detection_rates(cfg: ExperimentConfig, detector: Detector,
         labels = receiver_stream_labels(cfg, batch)
         if labels is None:
             raise ValueError("stable noise has no impulse labels to score against")
-        mask = detect(receiver_stream(cfg, batch), detector)
+        stream = receiver_stream(cfg, batch)
+        mask = detect(stream, kind, settings, estimate_clean_power(stream))
         impulse = labels == 1
         hits += int(np.sum(mask[impulse] == 1))
         misses += int(np.sum(mask[impulse] == 0))

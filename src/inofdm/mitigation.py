@@ -1,19 +1,26 @@
-"""Impulse detection and suppression, decoupled into detector + suppressor.
+"""Impulse detection and suppression, one pass for every mitigation policy.
 
-A detector turns a block of received time-domain samples into a 0/1 mask;
-a suppressor rewrites the flagged samples.  Any detector composes with any
-suppressor through :class:`MitigationPolicy`:
+A policy is a name from :data:`POLICY_NAMES`: a detector that turns a block
+of received time-domain samples into a 0/1 mask, and a suppressor that
+rewrites the flagged samples.
 
-* threshold detector - flags |r| above the per-block Neyman-Pearson level
-  sqrt(-sigma2 * ln p_fa), where sigma2 is the block's robust clean-power
-  estimate (median of |r|^2 over ln 2, exact for Rayleigh envelopes and
-  insensitive to a minority of impulses);
-* network detector - the trained classifier of :mod:`inofdm.dnn` over the
-  window features of :mod:`inofdm.features`;
-* blanking - flagged samples are zeroed;
-* clipping - flagged samples are clamped to the same per-block
-  Neyman-Pearson level, phase preserved; flagged samples already at or
-  below it pass through.
+* ``none`` - pass-through;
+* ``bln``/``clp`` - the threshold detector with blanking/clipping: it flags
+  |r| above the per-block Neyman-Pearson level sqrt(-sigma2 * ln p_fa),
+  where sigma2 is the block's robust clean-power estimate (median of |r|^2
+  over ln 2, exact for Rayleigh envelopes and insensitive to a minority of
+  impulses).  The level rides that per-block estimate rather than the
+  model-implied average: with per-symbol fading a fixed average-power level
+  over-blanks strong symbols and floors the curve near 1e-2, and a
+  practical receiver tracks its own front-end level anyway;
+* ``dnn``/``dnn-clp`` - the trained classifier of :mod:`inofdm.dnn` over
+  the window features of :mod:`inofdm.features`, with blanking/clipping.
+
+Blanking zeroes the flagged samples.  Clipping clamps them to the same
+per-block Neyman-Pearson level at the configured false-alarm rate, phase
+preserved; flagged samples already at or below it pass through.  Every
+detecting policy first zeroes non-finite samples, so ``inf`` and ``nan``
+never reach the power estimate, the features or the output.
 
 All sample functions accept leading batch dimensions (blocks on the last
 axis).
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -100,58 +107,26 @@ def clip(samples: np.ndarray, mask: np.ndarray, level) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ThresholdDetector:
-    """Flags |r| above the per-block Neyman-Pearson level at ``p_fa``."""
-
-    p_fa: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p_fa < 1.0:
-            raise ValueError("p_fa must be in (0, 1)")
+#: The mitigation policies, each a detector kind and a suppression.
+POLICY_NAMES = ("none", "bln", "clp", "dnn", "dnn-clp")
+_KIND = {"bln": "threshold", "clp": "threshold", "dnn": "dnn", "dnn-clp": "dnn"}
 
 
 @dataclass(frozen=True, eq=False)
-class DnnDetector:
-    """Feature-network detection; a probability of 0.5 or more flags."""
+class DetectorSettings:
+    """What every policy is tuned by: the false-alarm rate of the per-block
+    level (threshold detection and every clip ceiling), and the network's
+    parameters and feature half-width."""
 
-    params: dnn.MlpParams
+    p_fa: float
+    params: Optional[dnn.MlpParams] = None
     half_width: int = DEFAULT_HALF_WIDTH
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.p_fa < 1.0:
+            raise ValueError(f"p_fa must be in (0, 1), got {self.p_fa}")
         if self.half_width < 1:
             raise ValueError("half_width must be at least 1")
-
-
-Detector = Union[ThresholdDetector, DnnDetector]
-
-
-@dataclass(frozen=True)
-class Blank:
-    """Suppress flagged samples by zeroing them."""
-
-
-@dataclass(frozen=True)
-class Clip:
-    """Clamp flagged samples to the per-block Neyman-Pearson level at p_fa."""
-
-    p_fa: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p_fa < 1.0:
-            raise ValueError("p_fa must be in (0, 1)")
-
-
-Suppressor = Union[Blank, Clip]
-
-
-@dataclass(frozen=True, eq=False)
-class MitigationPolicy:
-    """A detector/suppressor pairing; ``detector=None`` passes samples through."""
-
-    detector: Optional[Detector]
-    suppressor: Suppressor
-    name: str = ""
 
 
 def _block_threshold(power: np.ndarray, p_fa: float) -> np.ndarray:
@@ -160,56 +135,59 @@ def _block_threshold(power: np.ndarray, p_fa: float) -> np.ndarray:
     return np.asarray(np_threshold(power, p_fa))[..., None]
 
 
-def detector_features(samples: np.ndarray, half_width: int, *,
-                      power: Optional[np.ndarray] = None) -> np.ndarray:
+def detector_features(samples: np.ndarray, half_width: int,
+                      power: np.ndarray) -> np.ndarray:
     """Per-sample features for the learned detector, gain-normalized per block.
 
     Raw magnitude-based features scale with the received level, which swings
     block to block with the fading realization and the noise floor.  Each
-    block (last axis) is divided by its robust scale estimate — the same
-    estimator the threshold detector calibrates with — so the learned
-    decision boundary transfers across blocks and operating points instead
-    of being pinned to the levels seen during training.  ``power`` is that
-    estimate when the caller already holds it (see :func:`mitigate`).
+    block (last axis) is divided by its robust scale estimate ``power``
+    (:func:`estimate_clean_power`, the estimator the threshold detector
+    calibrates with), so the learned decision boundary transfers across
+    blocks and operating points instead of being pinned to the levels seen
+    during training.
     """
     samples = np.asarray(samples)
-    if power is None:
-        power = estimate_clean_power(samples)
     return extract_features(samples / np.sqrt(power)[..., None], n=half_width)
 
 
-def detect(samples: np.ndarray, detector: Detector, *,
-           power: Optional[np.ndarray] = None) -> np.ndarray:
-    """Run a detector over blocks, returning the 0/1 impulse mask.
+def detect(samples: np.ndarray, kind: str, settings: DetectorSettings,
+           power: np.ndarray) -> np.ndarray:
+    """Run the ``"threshold"`` or ``"dnn"`` detector over blocks, returning
+    the 0/1 impulse mask.  ``power`` is the blocks'
+    :func:`estimate_clean_power`."""
+    if kind == "threshold":
+        return threshold_detect(samples, _block_threshold(power, settings.p_fa))
+    if kind == "dnn":
+        if settings.params is None:
+            raise ValueError("the network detector needs trained model parameters")
+        feats = detector_features(samples, settings.half_width, power)
+        return dnn.classify(settings.params, feats)
+    raise ValueError(f"unknown detector {kind!r}")
 
-    ``power`` is the blocks' :func:`estimate_clean_power`, when the caller
-    already holds it; otherwise it is estimated here.
+
+def mitigate(samples: np.ndarray, names: Sequence[str],
+             settings: DetectorSettings) -> List[np.ndarray]:
+    """Clean blocks under each named policy; the input is never modified.
+
+    One pass serves every name: the per-block power is estimated once and
+    each detector runs once, so ``bln``/``clp`` share the threshold mask and
+    ``dnn``/``dnn-clp`` the features and the network.
+
+    Returns:
+        One cleaned complex array per name, in order.
     """
     samples = np.asarray(samples)
-    if isinstance(detector, ThresholdDetector):
-        if power is None:
-            power = estimate_clean_power(samples)
-        return threshold_detect(samples, _block_threshold(power, detector.p_fa))
-    if isinstance(detector, DnnDetector):
-        feats = detector_features(samples, detector.half_width, power=power)
-        return dnn.classify(detector.params, feats)
-    raise TypeError(f"unknown detector {type(detector).__name__}")
-
-
-def mitigate(samples: np.ndarray, policy: MitigationPolicy) -> np.ndarray:
-    """Detect and suppress in one pass; the input is never modified.
-
-    The per-block power estimate (one median per block) is computed once
-    and shared by the detector and the clip ceiling.
-    """
-    samples = np.asarray(samples)
-    if policy.detector is None:
-        return samples.astype(complex, copy=True)
-    power = estimate_clean_power(samples)
-    mask = detect(samples, policy.detector, power=power)
-    if isinstance(policy.suppressor, Blank):
-        return blank(samples, mask)
-    if isinstance(policy.suppressor, Clip):
-        level = _block_threshold(power, policy.suppressor.p_fa)
-        return clip(samples, mask, level)
-    raise TypeError(f"unknown suppressor {type(policy.suppressor).__name__}")
+    for name in names:
+        if name not in POLICY_NAMES:
+            raise ValueError(f"unknown policy {name!r}")
+    kinds = sorted({_KIND[name] for name in names if name != "none"})
+    if kinds:
+        finite = np.where(np.isfinite(samples), samples, 0)
+        power = estimate_clean_power(finite)
+        masks = {kind: detect(finite, kind, settings, power) for kind in kinds}
+        level = _block_threshold(power, settings.p_fa)
+    return [samples.astype(complex, copy=True) if name == "none"
+            else clip(finite, masks[_KIND[name]], level) if name.endswith("clp")
+            else blank(finite, masks[_KIND[name]])
+            for name in names]

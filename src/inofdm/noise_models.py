@@ -200,12 +200,25 @@ def complex_gaussian(rng: np.random.Generator, count: int, sigma2) -> np.ndarray
     return scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
 
 
-def sample_bg(spec: BGNoise, count: int,
-              rng: np.random.Generator) -> LabeledNoiseBlock:
-    """Draw Bernoulli-Gaussian noise with per-sample impulse labels."""
+def sample_bg(spec: BGNoise, count: int, rng: np.random.Generator,
+              burst_len: int = 1) -> LabeledNoiseBlock:
+    """Draw Bernoulli-Gaussian noise with per-sample impulse labels.
+
+    Impulses arrive in bursts: burst starts are Bernoulli with rate
+    ``epsilon / burst_len`` and each start contaminates ``burst_len``
+    consecutive samples (overlaps merge, bursts truncate at the block end),
+    so the marginal contamination rate is 1 - (1 - eps/burst_len)^burst_len,
+    within a few percent of ``epsilon`` for the burst lengths of interest
+    and exactly ``epsilon`` at the default ``burst_len=1``.
+    """
+    if burst_len < 1:
+        raise ValueError("burst_len must be at least 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    labels = (rng.random(count) < spec.epsilon).astype(np.uint8)
+    starts = rng.random(count) < spec.epsilon / burst_len
+    labels = np.zeros(count, dtype=np.uint8)
+    for offset in range(burst_len):
+        labels[offset:] |= starts[:count - offset]
     sigma2 = np.where(labels == 1, spec.sigma_w2 + spec.sigma_i2, spec.sigma_w2)
     samples = complex_gaussian(rng, count, sigma2)
     return LabeledNoiseBlock(samples, labels)
@@ -269,44 +282,12 @@ def sample_sas(spec: SASNoise, count: int,
     return LabeledNoiseBlock(samples, None)
 
 
-def sample_bursty(spec: BGNoise, burst_len: int, count: int,
-                  rng: np.random.Generator) -> LabeledNoiseBlock:
-    """Draw Bernoulli-Gaussian noise whose impulses arrive in bursts.
-
-    Burst starts are Bernoulli with rate ``epsilon / burst_len`` and each
-    start contaminates ``burst_len`` consecutive samples (overlaps merge,
-    bursts truncate at the block end), so the marginal contamination rate is
-    1 - (1 - eps/burst_len)^burst_len, within a few percent of ``epsilon``
-    for the burst lengths of interest.  ``burst_len=1`` reduces exactly to
-    :func:`sample_bg` statistics.
-
-    Args:
-        spec: Mixture parameters; ``epsilon`` is the target marginal rate.
-        burst_len: Number of consecutive contaminated samples per burst, >= 1.
-        count: Block length.
-        rng: Random generator.
-    """
-    if burst_len < 1:
-        raise ValueError("burst_len must be at least 1")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    starts = rng.random(count) < spec.epsilon / burst_len
-    labels = np.zeros(count, dtype=np.uint8)
-    for offset in range(burst_len):
-        labels[offset:] |= starts[:count - offset]
-    sigma2 = np.where(labels == 1, spec.sigma_w2 + spec.sigma_i2, spec.sigma_w2)
-    samples = complex_gaussian(rng, count, sigma2)
-    return LabeledNoiseBlock(samples, labels)
-
-
 def sample_noise(spec: NoiseSpec, count: int,
                  rng: np.random.Generator,
                  burst_len: int = 1) -> LabeledNoiseBlock:
     """Dispatch to the sampler matching ``spec`` (bursts for BG only)."""
     if isinstance(spec, BGNoise):
-        if burst_len > 1:
-            return sample_bursty(spec, burst_len, count, rng)
-        return sample_bg(spec, count, rng)
+        return sample_bg(spec, count, rng, burst_len)
     if burst_len > 1:
         raise ValueError("burst sampling is defined for Bernoulli-Gaussian noise only")
     if isinstance(spec, MCANoise):

@@ -303,6 +303,14 @@ def test_out_of_range_p_fa_names_key_at_load(cfg_file, tmp_path, capsys, p_fa):
     ("interleaver.tx_cols", "0"),
     ("interleaver.time_rows", "0"),
     ("interleaver.time_cols", "-2"),
+    ("ofdm.pilot_spacing", "0"),    # used to die with ZeroDivisionError
+    ("ofdm.pilot_spacing", "-4"),   # no pilots; the interleaver took the blame
+    ("ofdm.pilot_spacing", "128"),  # one pilot; estimation needs two
+    ("ofdm.n_null", "-2"),
+    ("ofdm.n_null", "3"),
+    ("ofdm.n_null", "90"),          # 6 data carriers cannot carry the tail
+    ("channel.n_taps", "0"),
+    ("channel.n_taps", "17"),       # delays 0..16 overrun the 16-sample prefix
 ])
 def test_out_of_range_value_names_key_at_load(cfg_file, tmp_path, capsys,
                                               key, value):
@@ -323,6 +331,29 @@ def test_range_limits_are_inclusive(cfg_file):
         "train.batch_size": "1", "detector.half_width": "63"})
     config_mod.load_config(cfg_file, {"noise.epsilon": "0",
                                       "detector.half_width": "1"})
+    # One carrier more than the 6 tail bits, and a channel that fills the
+    # prefix.
+    cfg = config_mod.load_config(cfg_file, {"ofdm.n_null": "88",
+                                            "channel.n_taps": "16"})
+    assert cfg.ofdm.n_data == 8
+    # Pilots on carriers 0 and 127, the two that channel estimation needs.
+    cfg = config_mod.load_config(cfg_file, {
+        "ofdm.pilot_spacing": "127", "ofdm.n_null": "0",
+        "interleaver.tx_enabled": "false"})
+    assert cfg.ofdm.pilot_carriers.tolist() == [0, 127]
+
+
+def test_channel_longer_than_prefix_names_both_keys(tmp_path, capsys):
+    # Delays rise strictly from 0, so 10 taps can never fit a 4-sample
+    # prefix; this used to fail mid-run with 'no channel fit'.
+    rc = run_cli("ber-sweep", "--set", "ofdm.n_fft=16", "--set", "ofdm.cp_len=4",
+                 "--set", "ofdm.n_null=0", "--set", "detector.half_width=2",
+                 "--set", "interleaver.tx_enabled=false",
+                 "--set", "sweep.policies=none", "--out", tmp_path / "c")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'channel.n_taps'" in err and "ofdm.cp_len" in err
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("which, overrides", [

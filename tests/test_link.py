@@ -15,7 +15,7 @@ import pytest
 
 from inofdm import config as config_mod
 from inofdm import dnn, link
-from inofdm.mitigation import Blank, MitigationPolicy, ThresholdDetector
+from inofdm.mitigation import DetectorSettings, mitigate
 from inofdm.noise_models import BGNoise, MCANoise, SASNoise, sample_noise
 
 MODEL_PATH = Path(__file__).resolve().parent.parent / "models" / "detector.txt"
@@ -36,6 +36,12 @@ def small_config(**overrides):
 
 def default_config(**overrides):
     return config_mod.load_config(None, {k: str(v) for k, v in overrides.items()})
+
+
+def cleaned(cfg, batch, name, params=None):
+    """One policy's mitigated receiver stream of a batch, mitigated alone."""
+    settings = DetectorSettings(cfg.p_fa, params, cfg.half_width)
+    return mitigate(link.receiver_stream(cfg, batch), (name,), settings)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +189,8 @@ def test_noiseless_chain_decodes_exactly():
     # exact transmitted bits.  (Impulse power rides on SIR, not Eb/N0, so
     # epsilon really has to be zero here.)
     cfg = small_config(**{"noise.epsilon": 0})
-    none = MitigationPolicy(None, Blank(), name="none")
     batch = link.simulate_batch(cfg, 300.0, 8, np.random.default_rng(5))
-    decoded = link.receive_batch(cfg, batch, none)
+    decoded = link.receive_batch(cfg, batch, cleaned(cfg, batch, "none"))
     assert np.array_equal(decoded, batch.tx_bits)
 
 
@@ -194,17 +199,19 @@ def test_noiseless_chain_with_time_interleaver_decodes_exactly():
                           "interleaver.time_enabled": True,
                           "interleaver.time_rows": 8,
                           "interleaver.time_cols": 18})
-    none = MitigationPolicy(None, Blank(), name="none")
     batch = link.simulate_batch(cfg, 300.0, 8, np.random.default_rng(6))
-    assert np.array_equal(link.receive_batch(cfg, batch, none), batch.tx_bits)
+    assert np.array_equal(
+        link.receive_batch(cfg, batch, cleaned(cfg, batch, "none")),
+        batch.tx_bits)
 
 
 def test_noiseless_chain_with_perfect_csi():
     cfg = small_config(**{"noise.epsilon": 0, "sweep.perfect_csi": True})
     assert cfg.perfect_csi
-    none = MitigationPolicy(None, Blank(), name="none")
     batch = link.simulate_batch(cfg, 300.0, 4, np.random.default_rng(7))
-    assert np.array_equal(link.receive_batch(cfg, batch, none), batch.tx_bits)
+    assert np.array_equal(
+        link.receive_batch(cfg, batch, cleaned(cfg, batch, "none")),
+        batch.tx_bits)
 
 
 def test_awgn_baseline_regression_pin():
@@ -225,39 +232,6 @@ def test_awgn_baseline_regression_pin():
     point12 = link.ber_sweep(cfg12)["none"].points[0]
     assert (point12.errors, point12.bits) == (45, 404928)
     assert point12.ber < 1e-3
-
-
-# ---------------------------------------------------------------------------
-# policy construction
-
-
-def test_build_policy_names_and_types():
-    cfg = small_config()
-    for name in ("none", "bln", "clp"):
-        policy = link.build_policy(cfg, name)
-        assert policy.name == name
-    assert link.build_policy(cfg, "none").detector is None
-    assert isinstance(link.build_policy(cfg, "bln").suppressor, Blank)
-
-
-def test_build_policy_threshold_calibration_is_per_block():
-    """bln/clp must ride the robust per-block estimate at the configured
-    false-alarm rate, and both clipping policies clip at that level."""
-    cfg = small_config(**{"sweep.p_fa": 0.02})
-    params = dnn.load_model(MODEL_PATH)
-    for name in ("bln", "clp"):
-        assert link.build_policy(cfg, name).detector.p_fa == 0.02
-    for name in ("clp", "dnn-clp"):
-        assert link.build_policy(cfg, name, params).suppressor.p_fa == 0.02
-
-
-def test_build_policy_requires_model_for_network_detectors():
-    cfg = small_config()
-    for name in ("dnn", "dnn-clp"):
-        with pytest.raises(ValueError):
-            link.build_policy(cfg, name)
-    with pytest.raises(ValueError):
-        link.build_policy(cfg, "zap")
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +341,37 @@ def test_sweep_counts_equal_per_policy_receive_batch(chain):
             batch = link.simulate_batch(cfg, ebn0, link.BATCH_SYMBOLS, rng)
             for name in cfg.policies:
                 decoded = link.receive_batch(cfg, batch,
-                                             link.build_policy(cfg, name))
+                                             cleaned(cfg, batch, name))
                 expected[name] += int(np.sum(decoded != batch.tx_bits))
         points = [curves[name].points[point_idx] for name in cfg.policies]
         assert [p.bits for p in points] == [n_batches * batch_bits] * 3
         assert [p.errors for p in points] == list(expected.values())
         assert len(set(expected.values())) > 1   # a row mix-up would show
+
+
+def test_sweep_applies_configured_p_fa():
+    """bln/clp detect at the configured false-alarm rate, and both clipping
+    policies clip at the per-block level of that rate."""
+    params = dnn.load_model(MODEL_PATH)
+    batch_bits = link.BATCH_SYMBOLS * link.bits_per_symbol(small_config())
+    counts = {}
+    for p_fa in (0.01, 0.2):
+        cfg = small_config(**{
+            "noise.epsilon": 0.05, "grid.ebn0_db": "10", "sweep.p_fa": p_fa,
+            "sweep.policies": "bln,clp,dnn-clp", "sweep.min_errors": 10 ** 9,
+            "sweep.max_bits": batch_bits})
+        curves = link.ber_sweep(cfg, params)
+        rng = np.random.default_rng(np.random.SeedSequence(
+            (cfg.seed, link._TAG_SWEEP, 0, 0)))
+        batch = link.simulate_batch(cfg, 10.0, link.BATCH_SYMBOLS, rng)
+        counts[p_fa] = {}
+        for name in cfg.policies:
+            decoded = link.receive_batch(cfg, batch,
+                                         cleaned(cfg, batch, name, params))
+            counts[p_fa][name] = int(np.sum(decoded != batch.tx_bits))
+            assert curves[name].points[0].errors == counts[p_fa][name]
+    for name in ("bln", "clp", "dnn-clp"):
+        assert counts[0.01][name] != counts[0.2][name], name
 
 
 @pytest.mark.parametrize("chain, expected", [
@@ -419,13 +418,12 @@ def test_sweep_estimate_stable_under_budget_doubling():
         "bln"].points[0]
     assert p2.bits > 1.8 * p1.bits
 
-    policy = link.build_policy(cfg, "bln")
     rng = np.random.default_rng(123)
     failures = 0
     n_batches = p1.bits // (link.BATCH_SYMBOLS * link.bits_per_symbol(cfg))
     for _ in range(n_batches):
         batch = link.simulate_batch(cfg, 12.0, link.BATCH_SYMBOLS, rng)
-        decoded = link.receive_batch(cfg, batch, policy)
+        decoded = link.receive_batch(cfg, batch, cleaned(cfg, batch, "bln"))
         failures += int(np.sum(np.any(decoded != batch.tx_bits, axis=1)))
     assert failures > 0
     assert abs(p2.ber - p1.ber) / p1.ber < 2.0 / math.sqrt(failures)
@@ -484,8 +482,8 @@ def test_ber_at_unknown_point_raises():
 
 def test_detection_rates_consistency():
     cfg = default_config()
-    det = ThresholdDetector(p_fa=0.01)
-    report = link.detection_rates(cfg, det, 10.0, n_symbols=64)
+    assert cfg.p_fa == 0.01
+    report = link.detection_rates(cfg, "threshold", 10.0, n_symbols=64)
     assert report.n_impulse + report.n_clean == 64 * 1024
     assert report.detection_rate + report.missed_rate == pytest.approx(1.0)
     # BG impulses at SIR 0 dB tower over the signal; most are caught, and the
@@ -496,13 +494,12 @@ def test_detection_rates_consistency():
 
 def test_detection_rates_are_deterministic():
     cfg = small_config()
-    det = ThresholdDetector(p_fa=0.01)
-    a = link.detection_rates(cfg, det, 8.0, n_symbols=32)
-    b = link.detection_rates(cfg, det, 8.0, n_symbols=32)
+    a = link.detection_rates(cfg, "threshold", 8.0, n_symbols=32)
+    b = link.detection_rates(cfg, "threshold", 8.0, n_symbols=32)
     assert a == b
 
 
 def test_detection_rates_refuse_unlabeled_noise():
     cfg = small_config(**{"noise.model": "sas"})
     with pytest.raises(ValueError):
-        link.detection_rates(cfg, ThresholdDetector(0.01), 10.0, n_symbols=4)
+        link.detection_rates(cfg, "threshold", 10.0, n_symbols=4)

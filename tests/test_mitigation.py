@@ -1,6 +1,7 @@
 """Tests for impulse detection/suppression: threshold selection and its
-false-alarm calibration, blanking and clipping semantics, detector/suppressor
-composition, and the per-block gain normalization of the learned detector."""
+false-alarm calibration, blanking and clipping semantics, the one-pass
+mitigation of every named policy, non-finite input, and the per-block gain
+normalization of the learned detector."""
 
 import math
 from pathlib import Path
@@ -10,16 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inofdm import dnn
 from inofdm.config import load_config
 from inofdm.dnn import MlpParams, load_model
 from inofdm.features import FeatureNormalizer, extract_features
-from inofdm.link import build_policy
 from inofdm.mitigation import (
-    Blank,
-    Clip,
-    DnnDetector,
-    MitigationPolicy,
-    ThresholdDetector,
+    POLICY_NAMES,
+    DetectorSettings,
     blank,
     clip,
     detect,
@@ -31,6 +29,21 @@ from inofdm.mitigation import (
 )
 
 MODEL_PATH = Path(__file__).resolve().parent.parent / "models" / "detector.txt"
+
+
+def detect_alone(samples, kind, settings):
+    """:func:`detect` with the blocks' own power estimate."""
+    return detect(samples, kind, settings, estimate_clean_power(samples))
+
+
+def mitigate_one(samples, name, settings):
+    """One policy's output of :func:`mitigate`."""
+    return mitigate(samples, (name,), settings)[0]
+
+
+def shipped_settings():
+    cfg = load_config(None, {})
+    return DetectorSettings(cfg.p_fa, load_model(MODEL_PATH), cfg.half_width)
 
 
 def rayleigh_block(seed, n, sigma2=1.0):
@@ -253,27 +266,24 @@ def test_blank_is_idempotent(seed):
 
 
 # ---------------------------------------------------------------------------
-# detector configuration and the per-block level
+# detector settings and the per-block level
 
 
 def test_detector_validation():
+    for p_fa in (0.0, 1.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            DetectorSettings(p_fa=p_fa)
     with pytest.raises(ValueError):
-        ThresholdDetector(p_fa=0.0)
+        DetectorSettings(0.01, magnitude_gate_params(), half_width=0)
     with pytest.raises(ValueError):
-        ThresholdDetector(p_fa=1.0)
-    with pytest.raises(ValueError):
-        DnnDetector(params=magnitude_gate_params(), half_width=0)
-    with pytest.raises(ValueError):
-        Clip(p_fa=0.0)
-    with pytest.raises(ValueError):
-        Clip(p_fa=1.0)
+        DetectorSettings(0.01, half_width=-3)
+    DetectorSettings(0.01, half_width=1)   # the smallest window is valid
 
 
 def test_in_situ_route_estimates_power_per_block():
     blocks = np.stack([rayleigh_block(14, 2048, 1.0),
                        rayleigh_block(15, 2048, 25.0)])
-    det = ThresholdDetector(p_fa=0.01)
-    mask = detect(blocks, det)
+    mask = detect_alone(blocks, "threshold", DetectorSettings(p_fa=0.01))
     levels = np_threshold(estimate_clean_power(blocks), 0.01)
     expected = threshold_detect(blocks, levels[:, None])
     assert np.array_equal(mask, expected)
@@ -284,15 +294,17 @@ def test_in_situ_route_estimates_power_per_block():
 
 def test_in_situ_route_is_scale_invariant():
     samples = rayleigh_block(16, 4096)
-    det = ThresholdDetector(p_fa=0.01)
-    base = detect(samples, det)
+    settings = DetectorSettings(p_fa=0.01)
+    base = detect_alone(samples, "threshold", settings)
     for scale in (1e-3, 0.1, 7.0, 1e3):
-        assert np.array_equal(detect(scale * samples, det), base)
+        assert np.array_equal(detect_alone(scale * samples, "threshold",
+                                           settings), base)
 
 
 def test_detect_rejects_unknown_types():
-    with pytest.raises(TypeError):
-        detect(np.ones(4), object())
+    for kind in ("bln", "zap", ""):
+        with pytest.raises(ValueError, match="unknown detector"):
+            detect(np.ones(4), kind, DetectorSettings(0.01), np.ones(()))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +313,7 @@ def test_detect_rejects_unknown_types():
 
 def test_detector_features_composes_estimate_and_extraction():
     samples = rayleigh_block(17, 1024)
-    feats = detector_features(samples, 5)
+    feats = detector_features(samples, 5, estimate_clean_power(samples))
     scale = np.sqrt(estimate_clean_power(samples))
     np.testing.assert_array_equal(feats, extract_features(samples / scale, n=5))
     assert feats.shape == (1024, 3)
@@ -311,14 +323,17 @@ def test_detector_features_are_gain_invariant():
     # The whole point of per-block normalization: a block-level gain change
     # must not move the features the classifier sees.
     samples = rayleigh_block(18, 512)
-    base = detector_features(samples, 5)
+    base = detector_features(samples, 5, estimate_clean_power(samples))
     for scale in (1e-2, 0.5, 40.0):
-        np.testing.assert_allclose(detector_features(scale * samples, 5), base,
-                                   rtol=1e-10, atol=1e-12)
+        scaled = scale * samples
+        np.testing.assert_allclose(
+            detector_features(scaled, 5, estimate_clean_power(scaled)), base,
+            rtol=1e-10, atol=1e-12)
 
 
 def test_detector_features_handle_all_zero_blocks():
-    feats = detector_features(np.zeros(64, dtype=complex), 5)
+    zeros = np.zeros(64, dtype=complex)
+    feats = detector_features(zeros, 5, estimate_clean_power(zeros))
     assert np.all(np.isfinite(feats))
     assert np.all(feats == 0.0)
 
@@ -326,38 +341,38 @@ def test_detector_features_handle_all_zero_blocks():
 def test_dnn_detector_to_classifier_composition():
     params = magnitude_gate_params()
     samples = rayleigh_block(19, 2048)
-    det = DnnDetector(params=params, half_width=5)
-    mask = detect(samples, det)
-    feats = detector_features(samples, 5)
+    mask = detect_alone(samples, "dnn", DetectorSettings(0.01, params, 5))
+    feats = detector_features(samples, 5, estimate_clean_power(samples))
     # Gate trips exactly when the normalized magnitude clears knee + 0.5.
     assert np.array_equal(mask, (feats[:, 0] >= 4.0).astype(np.uint8))
 
 
 def test_dnn_detector_is_gain_invariant():
-    det = DnnDetector(params=magnitude_gate_params(), half_width=5)
+    settings = DetectorSettings(0.01, magnitude_gate_params(), 5)
     clean = rayleigh_block(20, 2048)
     hit = np.random.default_rng(21).random(2048) < 0.03
     samples = np.where(hit, clean * 25.0, clean)
-    base = detect(samples, det)
+    base = detect_alone(samples, "dnn", settings)
     assert base.sum() > 0
     for scale in (1e-3, 1e3):
-        assert np.array_equal(detect(scale * samples, det), base)
+        assert np.array_equal(detect_alone(scale * samples, "dnn", settings),
+                              base)
 
 
 def test_dnn_detector_rarely_fires_on_clean_blocks():
-    det = DnnDetector(params=magnitude_gate_params(), half_width=5)
+    settings = DetectorSettings(0.01, magnitude_gate_params(), 5)
     blocks = rayleigh_block(22, 100_000).reshape(100, 1000)
-    altered = np.mean(mitigate(blocks, MitigationPolicy(det, Blank())) != blocks)
+    altered = np.mean(mitigate_one(blocks, "dnn", settings) != blocks)
     # P(|r| > 4 sigma_est) ~ exp(-16) on Rayleigh; allow generous slack.
     assert altered < 1e-3
 
 
 def test_dnn_detector_blanks_injected_impulses():
-    det = DnnDetector(params=magnitude_gate_params(), half_width=5)
+    settings = DetectorSettings(0.01, magnitude_gate_params(), 5)
     block = rayleigh_block(23, 4096)
     where = np.random.default_rng(24).choice(4096, size=40, replace=False)
     block[where] = 30.0 * np.exp(1j * np.linspace(0, 6, 40))
-    out = mitigate(block, MitigationPolicy(det, Blank()))
+    out = mitigate_one(block, "dnn", settings)
     assert np.all(out[where] == 0.0)
 
 
@@ -367,22 +382,22 @@ def test_dnn_detector_blanks_injected_impulses():
 
 def test_mitigate_blank_equals_manual_composition():
     samples = rayleigh_block(25, 2048)
-    det = ThresholdDetector(p_fa=0.05)
-    out = mitigate(samples, MitigationPolicy(det, Blank()))
-    assert np.array_equal(out, blank(samples, detect(samples, det)))
+    settings = DetectorSettings(p_fa=0.05)
+    out = mitigate_one(samples, "bln", settings)
+    assert np.array_equal(
+        out, blank(samples, detect_alone(samples, "threshold", settings)))
 
 
 def test_threshold_blank_policy_is_classic_blanking():
     samples = rayleigh_block(26, 2048, sigma2=4.0)
-    det = ThresholdDetector(p_fa=0.01)
-    out = mitigate(samples, MitigationPolicy(det, Blank()))
+    out = mitigate_one(samples, "bln", DetectorSettings(p_fa=0.01))
     level = np_threshold(float(estimate_clean_power(samples)), 0.01)
     assert np.array_equal(out, np.where(np.abs(samples) > level, 0, samples))
 
 
 def test_clip_with_tiny_level_approaches_blanking():
     samples = rayleigh_block(27, 1024)
-    mask = detect(samples, ThresholdDetector(p_fa=0.05))
+    mask = detect_alone(samples, "threshold", DetectorSettings(p_fa=0.05))
     np.testing.assert_allclose(clip(samples, mask, 1e-12),
                                blank(samples, mask), atol=2e-12)
 
@@ -392,9 +407,9 @@ def test_clip_policy_lands_flagged_samples_on_detection_level():
     # lands exactly on the detector's per-block level.
     samples = rayleigh_block(32, 1024)
     samples[::50] *= 30.0
-    det = ThresholdDetector(p_fa=0.01)
-    out = mitigate(samples, MitigationPolicy(det, Clip(p_fa=0.01)))
-    flagged = detect(samples, det) == 1
+    settings = DetectorSettings(p_fa=0.01)
+    out = mitigate_one(samples, "clp", settings)
+    flagged = detect_alone(samples, "threshold", settings) == 1
     level = np_threshold(float(estimate_clean_power(samples)), 0.01)
     assert flagged.sum() >= 21
     np.testing.assert_allclose(np.abs(out[flagged]), level, rtol=1e-12)
@@ -404,47 +419,67 @@ def test_clip_policy_lands_flagged_samples_on_detection_level():
 def test_clip_default_level_tracks_per_block_estimate():
     blocks = np.stack([rayleigh_block(28, 2048, 1.0),
                        rayleigh_block(29, 2048, 100.0)])
-    det = ThresholdDetector(p_fa=0.01)
-    out = mitigate(blocks, MitigationPolicy(det, Clip(p_fa=0.01)))
+    out = mitigate_one(blocks, "clp", DetectorSettings(p_fa=0.01))
     levels = np_threshold(estimate_clean_power(blocks), 0.01)
     for b in range(2):
         assert np.max(np.abs(out[b])) <= levels[b] * (1 + 1e-12)
 
 
 def test_clip_default_level_with_network_detector():
-    # The ceiling is the Neyman-Pearson level at the clip's own false-alarm
+    # The ceiling is the Neyman-Pearson level at the configured false-alarm
     # rate; only flagged samples feel it.
-    det = DnnDetector(params=magnitude_gate_params(), half_width=5)
+    settings = DetectorSettings(0.02, magnitude_gate_params(), 5)
     block = rayleigh_block(30, 4096)
     block[::100] = 50.0
-    out = mitigate(block, MitigationPolicy(det, Clip(p_fa=0.02)))
+    out = mitigate_one(block, "dnn-clp", settings)
     ceiling = np_threshold(float(estimate_clean_power(block)), 0.02)
     np.testing.assert_allclose(np.abs(out[::100]), ceiling, rtol=1e-12)
 
 
 def test_pass_through_policy_copies_input():
     samples = rayleigh_block(31, 64)
-    out = mitigate(samples, MitigationPolicy(None, Blank(), name="none"))
+    out = mitigate_one(samples, "none", DetectorSettings(0.01))
     assert np.array_equal(out, samples)
     out[0] = 0.0
     assert samples[0] != 0.0  # the input buffer is not shared
 
 
-def test_mitigate_rejects_unknown_suppressor():
-    with pytest.raises(TypeError):
-        mitigate(np.ones(8), MitigationPolicy(ThresholdDetector(0.01), "zap"))
+def test_mitigate_rejects_unknown_policy():
+    for names in (("zap",), ("bln", "threshold"), ("none", "DNN")):
+        with pytest.raises(ValueError, match="unknown policy"):
+            mitigate(np.ones(8), names, DetectorSettings(0.01))
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["bln", "clp", "clp-0.3"]))
+def test_mitigate_requires_model_for_network_policies():
+    for name in ("dnn", "dnn-clp"):
+        with pytest.raises(ValueError, match="model parameters"):
+            mitigate(rayleigh_block(33, 64), ("bln", name), DetectorSettings(0.01))
+    # The other policies need no model.
+    out = mitigate(rayleigh_block(33, 64), ("none", "bln", "clp"),
+                   DetectorSettings(0.01))
+    assert len(out) == 3
+
+
+def test_mitigate_returns_one_output_per_name_in_order():
+    settings = shipped_settings()
+    blocks = rayleigh_block(34, 2048).reshape(2, 1024)
+    blocks[:, ::41] *= 30.0
+    names = ("dnn-clp", "none", "bln", "dnn", "clp", "bln")
+    outs = mitigate(blocks, names, settings)
+    assert len(outs) == len(names)
+    for name, out in zip(names, outs):
+        assert np.array_equal(out, mitigate_one(blocks, name, settings))
+    assert np.array_equal(outs[2], outs[5])
+    assert mitigate(blocks, (), settings) == []
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["bln", "clp"]))
 @settings(max_examples=30, deadline=None)
 def test_mitigate_never_increases_any_magnitude(seed, kind):
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     samples[rng.random(256) < 0.05] *= 20.0
-    det = ThresholdDetector(p_fa=0.05)
-    suppressor = {"bln": Blank(), "clp": Clip(p_fa=0.05),
-                  "clp-0.3": Clip(p_fa=0.3)}[kind]
-    out = mitigate(samples, MitigationPolicy(det, suppressor))
+    out = mitigate_one(samples, kind, DetectorSettings(p_fa=0.05))
     assert np.all(np.abs(out) <= np.abs(samples) * (1 + 1e-12))
 
 
@@ -453,40 +488,100 @@ def test_policies_handle_blocks_with_zero_median(name):
     # An all-zero block, and one that is mostly zeros, have a median |r|^2
     # of 0.  Every policy must still return finite samples and leave the
     # zero samples at zero.
-    cfg = load_config(None, {})
-    policy = build_policy(cfg, name, load_model(MODEL_PATH))
     mostly_zero = rayleigh_block(40, 256)
     mostly_zero[np.random.default_rng(41).permutation(256)[:160]] = 0.0
     blocks = np.stack([np.zeros(256, dtype=complex), mostly_zero])
-    out = mitigate(blocks, policy)
+    out = mitigate_one(blocks, name, shipped_settings())
     assert np.all(np.isfinite(out))
     assert np.all(out[blocks == 0] == 0)
 
 
 @pytest.mark.parametrize("name, calls", [("none", 0), ("bln", 1), ("clp", 1),
-                                         ("dnn", 1), ("dnn-clp", 1)])
+                                         ("dnn", 1), ("dnn-clp", 1),
+                                         ("all", 1)])
 def test_mitigate_estimates_block_power_once(monkeypatch, name, calls):
-    # Detection and the clip ceiling share one per-block median, and the
-    # output equals detection and suppression composed by hand.
-    cfg = load_config(None, {})
-    policy = build_policy(cfg, name, load_model(MODEL_PATH))
+    # Every policy shares one per-block median, each detector runs once, and
+    # each output equals suppression of a mask built by hand.
+    names = POLICY_NAMES if name == "all" else (name,)
+    settings = shipped_settings()
     blocks = np.stack([rayleigh_block(42, 512), 30.0 * rayleigh_block(43, 512)])
     blocks[:, ::37] *= 25.0
-    expected = blocks.copy()
-    if policy.detector is not None:
-        mask = detect(blocks, policy.detector)
-        if isinstance(policy.suppressor, Clip):
-            level = np_threshold(estimate_clean_power(blocks), cfg.p_fa)[:, None]
-            expected = clip(blocks, mask, level)
+    power = estimate_clean_power(blocks)
+    level = np_threshold(power, settings.p_fa)[:, None]
+    masks = {"threshold": (np.abs(blocks) > level).astype(np.uint8),
+             "dnn": dnn.classify(settings.params, extract_features(
+                 blocks / np.sqrt(power)[:, None], n=settings.half_width))}
+    expected = {"none": blocks,
+                "bln": blank(blocks, masks["threshold"]),
+                "clp": clip(blocks, masks["threshold"], level),
+                "dnn": blank(blocks, masks["dnn"]),
+                "dnn-clp": clip(blocks, masks["dnn"], level)}
+    seen = {"power": 0, "threshold": 0, "network": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr("inofdm.mitigation.estimate_clean_power",
+                        counting("power", estimate_clean_power))
+    monkeypatch.setattr("inofdm.mitigation.threshold_detect",
+                        counting("threshold", threshold_detect))
+    monkeypatch.setattr("inofdm.dnn.classify", counting("network", dnn.classify))
+    outs = mitigate(blocks, names, settings)
+    assert seen == {"power": calls,
+                    "threshold": int(bool({"bln", "clp"} & set(names))),
+                    "network": int(bool({"dnn", "dnn-clp"} & set(names)))}
+    for n, out in zip(names, outs):
+        assert np.array_equal(out, expected[n]), n
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+
+
+def test_detecting_policies_zero_non_finite_samples():
+    # One inf in row 0, one nan in row 1: only the pass-through policy may
+    # return them.
+    blocks = rayleigh_block(44, 2048).reshape(2, 1024)
+    blocks[0, 100] = np.inf
+    blocks[1, 700] = np.nan
+    outs = mitigate(blocks, POLICY_NAMES, shipped_settings())
+    for name, out in zip(POLICY_NAMES, outs):
+        bad = (~np.isfinite(out)).sum(axis=1).tolist()
+        assert bad == ([1, 1] if name == "none" else [0, 0]), name
+        if name != "none":
+            assert out[0, 100] == 0 and out[1, 700] == 0
+
+
+_NON_FINITE = (np.inf, -np.inf, np.nan)
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 255),
+                          st.sampled_from(_NON_FINITE), st.booleans()),
+                min_size=1, max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_non_finite_samples_come_out_zero(seed, injections):
+    # +-inf or nan in the real or imaginary part: every detecting policy
+    # returns finite samples, zero at the injected positions, and rows
+    # without an injection exactly as in the uninjected run.
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((4, 256)) + 1j * rng.standard_normal((4, 256))
+    blocks[rng.random((4, 256)) < 0.03] *= 20.0
+    hit = blocks.copy()
+    for row, col, value, imaginary in injections:
+        if imaginary:
+            hit[row, col] = complex(hit[row, col].real, value)
         else:
-            expected = blank(blocks, mask)
-    seen = []
-
-    def counting(samples):
-        seen.append(samples.shape)
-        return estimate_clean_power(samples)
-
-    monkeypatch.setattr("inofdm.mitigation.estimate_clean_power", counting)
-    out = mitigate(blocks, policy)
-    assert len(seen) == calls
-    assert np.array_equal(out, expected)
+            hit[row, col] = complex(value, hit[row, col].imag)
+    injected = ~np.isfinite(hit)
+    untouched = ~injected.any(axis=1)
+    names = POLICY_NAMES[1:]
+    settings = shipped_settings()
+    outs = mitigate(hit, names, settings)
+    for name, out, base in zip(names, outs, mitigate(blocks, names, settings)):
+        assert np.all(np.isfinite(out)), name
+        assert np.all(out[injected] == 0), name
+        assert out[untouched].tobytes() == base[untouched].tobytes(), name

@@ -12,11 +12,11 @@ from inofdm.noise_models import (
     BGNoise,
     MCANoise,
     SASNoise,
+    complex_gaussian,
     mca_component,
     mixture_pdf,
     mixture_weights,
     sample_bg,
-    sample_bursty,
     sample_mca,
     sample_noise,
     sample_sas,
@@ -210,7 +210,7 @@ class TestSamplerMoments:
 
     def test_bursty_marginal_rate(self):
         spec = BGNoise(epsilon=0.06, sigma_w2=1.0, sigma_i2=10.0)
-        block = sample_bursty(spec, 4, self.N, np.random.default_rng(9))
+        block = sample_bg(spec, self.N, np.random.default_rng(9), burst_len=4)
         # Starts at rate eps/4, each covering 4 samples with merged overlaps:
         # marginal rate 1 - (1 - 0.015)^4 = 0.058659...
         expected = 1.0 - (1.0 - 0.06 / 4) ** 4
@@ -220,7 +220,7 @@ class TestSamplerMoments:
 
 def test_bursty_runs_have_full_length_away_from_edges():
     spec = BGNoise(epsilon=0.06, sigma_w2=1.0, sigma_i2=10.0)
-    block = sample_bursty(spec, 4, 50_000, np.random.default_rng(11))
+    block = sample_bg(spec, 50_000, np.random.default_rng(11), burst_len=4)
     padded = np.concatenate([[0], block.labels, [0]])
     starts = np.flatnonzero(np.diff(padded) == 1)
     ends = np.flatnonzero(np.diff(padded) == -1)
@@ -233,16 +233,25 @@ def test_bursty_runs_have_full_length_away_from_edges():
 
 def test_bursty_length_one_matches_plain_bg():
     spec = BGNoise(epsilon=0.05, sigma_w2=1.0, sigma_i2=10.0)
-    plain = sample_bg(spec, 10_000, np.random.default_rng(42))
-    bursty = sample_bursty(spec, 1, 10_000, np.random.default_rng(42))
-    np.testing.assert_array_equal(plain.labels, bursty.labels)
-    np.testing.assert_array_equal(plain.samples, bursty.samples)
+    # The unbursted Bernoulli-Gaussian draw, written out: one uniform per
+    # sample for the label, then the Gaussian samples.
+    for count in (0, 1, 7, 10_000):
+        rng = np.random.default_rng(42)
+        labels = (rng.random(count) < spec.epsilon).astype(np.uint8)
+        sigma2 = np.where(labels == 1, spec.sigma_w2 + spec.sigma_i2,
+                          spec.sigma_w2)
+        samples = complex_gaussian(rng, count, sigma2)
+        for block in (sample_bg(spec, count, np.random.default_rng(42)),
+                      sample_bg(spec, count, np.random.default_rng(42), 1)):
+            assert block.labels.dtype == np.uint8
+            assert block.labels.tobytes() == labels.tobytes()
+            assert block.samples.tobytes() == samples.tobytes()
 
 
 def test_bursty_rejects_bad_burst_len():
     spec = BGNoise(epsilon=0.05, sigma_w2=1.0, sigma_i2=10.0)
     with pytest.raises(ValueError):
-        sample_bursty(spec, 0, 100, np.random.default_rng(0))
+        sample_bg(spec, 100, np.random.default_rng(0), burst_len=0)
 
 
 def test_samplers_are_reproducible():
