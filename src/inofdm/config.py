@@ -161,7 +161,11 @@ def resolve_config(file_values: Optional[Mapping[str, str]] = None,
         raise ValueError(f"config key 'noise.model': must be one of {_NOISE_MODELS}")
     n_fft, cp_len = typed["ofdm.n_fft"], typed["ofdm.cp_len"]
     spacing = typed["ofdm.pilot_spacing"]
+    # The grid keys come first: every later rule measures against them.
     ranges = (
+        ("ofdm.n_fft", lambda v: v >= 1, "at least 1"),
+        ("ofdm.cp_len", lambda v: 0 <= v < n_fft,
+         f"at least 0 and below ofdm.n_fft = {n_fft}"),
         ("ofdm.pilot_spacing", lambda v: 1 <= v < n_fft,
          f"at least 1 and below ofdm.n_fft = {n_fft}"),
         # The data carriers, neither pilot nor null, must outnumber the tail.

@@ -48,12 +48,10 @@ def relu(x: np.ndarray) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, stable for large |x|."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    expx = np.exp(x[~pos])
-    out[~pos] = expx / (1.0 + expx)
-    return out
+    # exp(-|x|) never overflows.  np.minimum keeps x's own NaN, where
+    # -np.abs(x) would flip its sign bit.
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def xavier_init(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarray:

@@ -60,6 +60,9 @@ from .ofdm import (ChannelRealization, assemble_active, channel_apply,
 
 #: Symbols simulated per Monte Carlo batch.
 BATCH_SYMBOLS = 32
+#: Decoder rows a sweep gathers per Viterbi call when its budget allows:
+#: the decoder's cost per row levels off from about 128 rows.
+DECODE_ROWS = 128
 
 # Seed-stream tags so different activities never share random draws.
 _TAG_SWEEP = 0
@@ -309,48 +312,98 @@ class BerCurve:
         raise KeyError(f"no point at {ebn0_db} dB")
 
 
+def _sweep_batch(cfg: ExperimentConfig, ebn0: float, point_idx: int,
+                 batch_idx: int, names: Tuple[str, ...],
+                 settings: DetectorSettings
+                 ) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """One sweep batch up to the decoder: its message bits and one LLR
+    array per named policy.  The batch itself is freed on return."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        (cfg.seed, _TAG_SWEEP, point_idx, batch_idx)))
+    batch = simulate_batch(cfg, ebn0, BATCH_SYMBOLS, rng)
+    return batch.tx_bits, [receive_llrs(cfg, batch, cleaned) for cleaned in
+                           mitigate(receiver_stream(cfg, batch), names, settings)]
+
+
 def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
               log: Optional[Callable[[str], None]] = None) -> Dict[str, BerCurve]:
     """Paired Monte Carlo BER curves for every configured policy.
 
     All policies at a grid point decode the *same* batches (common random
-    numbers); each batch is mitigated for every policy in one pass, and its
-    LLR rows of every policy go through one decoder call.  Each point
-    accumulates whole batches until every policy has at least
+    numbers); each batch is mitigated for every policy in one pass.  Each
+    point accumulates whole batches until every policy has at least
     ``cfg.min_errors`` bit errors or ``cfg.max_bits`` information bits have
     been simulated, whichever comes first.
+
+    Batches go through the front end a chunk at a time, and the LLR rows of
+    every policy and batch of a chunk go through one decoder call.  A chunk
+    is min(ahead, left, max(certain, forecast)) batches, at least one:
+
+    * ahead = ceil(DECODE_ROWS / (BATCH_SYMBOLS * policies)), the batches
+      that fill a decoder call;
+    * left, the batches ``cfg.max_bits`` still allows;
+    * certain, the batches the stop rule needs even if every decoded bit
+      were wrong, from ``worst``, the fewest errors of any policy so far;
+    * forecast, the batches it needs at ``worst``'s observed rate: none
+      before the point's first decode, so an error-stopped point starts
+      with one batch, and ``ahead`` while ``worst`` is 0.
+
+    Errors are counted and the stop rule checked batch by batch in index
+    order, so the curves equal those of one decode per batch; batches of a
+    chunk past the stop are discarded.
     """
     m = bits_per_symbol(cfg)
+    batch_bits = BATCH_SYMBOLS * m
     curves = {name: BerCurve(detector=name, points=[],
                              config_hash=cfg.config_hash, seed=cfg.seed)
               for name in cfg.policies}
     names = tuple(curves)
     settings = DetectorSettings(cfg.p_fa, params, cfg.half_width)
+    ahead = -(-DECODE_ROWS // (BATCH_SYMBOLS * len(names)))
     for point_idx, ebn0 in enumerate(cfg.ebn0_db):
         errors = dict.fromkeys(names, 0)
-        bits = 0
-        batch_idx = 0
-        while True:
-            rng = np.random.default_rng(np.random.SeedSequence(
-                (cfg.seed, _TAG_SWEEP, point_idx, batch_idx)))
-            batch = simulate_batch(cfg, ebn0, BATCH_SYMBOLS, rng)
-            # The cleaned streams are freed before the decoder runs.
-            decoded = viterbi_decode_soft(np.concatenate(
-                [receive_llrs(cfg, batch, cleaned) for cleaned in
-                 mitigate(receiver_stream(cfg, batch), names, settings)]))
-            for name, policy_bits in zip(names, np.split(decoded, len(names))):
-                errors[name] += int(np.sum(policy_bits != batch.tx_bits))
-            bits += BATCH_SYMBOLS * m
-            batch_idx += 1
-            if bits >= cfg.max_bits or min(errors.values()) >= cfg.min_errors:
-                break
+        batch_idx = simulated = decodes = 0
+        stopped = False
+        while not stopped:
+            worst = min(errors.values())
+            left = -(-(cfg.max_bits - batch_idx * batch_bits) // batch_bits)
+            certain = -(-(cfg.min_errors - worst) // batch_bits)
+            if batch_idx == 0:
+                forecast = 0
+            elif worst == 0:
+                forecast = ahead
+            else:
+                forecast = -(-(cfg.min_errors - worst) * batch_idx // worst)
+            chunk = max(1, min(ahead, left, max(certain, forecast)))
+            simulated += chunk
+            tx_bits, llrs = [], []
+            for index in range(batch_idx, batch_idx + chunk):
+                message, rows = _sweep_batch(cfg, ebn0, point_idx, index,
+                                             names, settings)
+                tx_bits.append(message)
+                llrs.extend(rows)
+            # Rebinding frees the per-policy arrays before the decoder runs.
+            llrs = np.concatenate(llrs)
+            decoded = viterbi_decode_soft(llrs).reshape(
+                chunk, len(names), BATCH_SYMBOLS, m)
+            decodes += 1
+            for message, batch_decoded in zip(tx_bits, decoded):
+                for name, policy_bits in zip(names, batch_decoded):
+                    errors[name] += int(np.count_nonzero(policy_bits != message))
+                batch_idx += 1
+                stopped = (batch_idx * batch_bits >= cfg.max_bits
+                           or min(errors.values()) >= cfg.min_errors)
+                if stopped:
+                    break
+        bits = batch_idx * batch_bits
         for name in names:
             curves[name].points.append(BerPoint(
                 ebn0_db=ebn0, ber=errors[name] / bits, bits=bits,
                 errors=errors[name]))
         if log is not None:
             summary = " ".join(f"{n}={errors[n] / bits:.3g}" for n in names)
-            log(f"ebn0={ebn0:g} dB bits={bits} {summary}")
+            log(f"ebn0={ebn0:g} dB bits={bits} decodes={decodes} "
+                f"discarded={simulated - batch_idx} {summary}")
     return curves
 
 

@@ -59,12 +59,18 @@ def estimate_clean_power(samples: np.ndarray) -> np.ndarray:
     with mean sigma2 is sigma2 ln 2, and the median barely moves when a
     small fraction of samples is contaminated.  Floored at the smallest
     normal float, so a block whose median sample is zero (all-zero, or a
-    majority of zeros) still gets a positive power.
+    majority of zeros) still gets a positive power.  A saturated sample,
+    |r| above about 1.3e154, squares to ``inf`` without a warning, which
+    leaves the median alone unless the median sample itself saturates:
+    such a block gets ``inf``, so the threshold detector flags nothing in
+    it and its network features are all zero.
     """
     samples = np.asarray(samples)
     if samples.shape[-1] < 1:
         raise ValueError("need at least one sample")
-    power = np.median(np.abs(samples) ** 2, axis=-1) / math.log(2.0)
+    with np.errstate(over="ignore"):
+        squared = np.abs(samples) ** 2
+    power = np.median(squared, axis=-1) / math.log(2.0)
     return np.maximum(power, np.finfo(float).tiny)
 
 

@@ -343,6 +343,35 @@ def test_range_limits_are_inclusive(cfg_file):
     assert cfg.ofdm.pilot_carriers.tolist() == [0, 127]
 
 
+@pytest.mark.parametrize("value", ["0", "-64"])
+def test_fft_size_below_one_names_its_key(cfg_file, value):
+    # n_fft = 0 used to blame ofdm.pilot_spacing.  At 1 the key passes its
+    # own check, and a later key (here the pilot spacing) is at fault.
+    with pytest.raises(ValueError, match="config key 'ofdm.n_fft'"):
+        config_mod.load_config(cfg_file, {"ofdm.n_fft": value})
+    with pytest.raises(ValueError) as edge:
+        config_mod.load_config(cfg_file, {"ofdm.n_fft": "1", "ofdm.cp_len": "0"})
+    assert "'ofdm.n_fft'" not in str(edge.value)
+    assert "config key 'ofdm.pilot_spacing'" in str(edge.value)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"ofdm.cp_len": "-1"},                       # blamed channel.n_taps
+    {"ofdm.cp_len": "128"},                      # a prefix as long as n_fft
+    {"ofdm.n_fft": "64", "ofdm.cp_len": "80", "ofdm.n_null": "0",
+     "detector.half_width": "5", "interleaver.tx_enabled": "false"},
+])
+def test_prefix_outside_fft_size_names_its_key(cfg_file, overrides):
+    # The longer-than-n_fft prefix used to fail in OfdmConfig naming no key.
+    # The edges load: a prefix one sample shorter than n_fft, and a zero
+    # prefix, which fails only because no channel tap then fits in it.
+    with pytest.raises(ValueError, match="config key 'ofdm.cp_len'"):
+        config_mod.load_config(cfg_file, overrides)
+    assert config_mod.load_config(cfg_file, {"ofdm.cp_len": "127"}).ofdm.cp_len == 127
+    with pytest.raises(ValueError, match="config key 'channel.n_taps'"):
+        config_mod.load_config(cfg_file, {"ofdm.cp_len": "0"})
+
+
 def test_channel_longer_than_prefix_names_both_keys(tmp_path, capsys):
     # Delays rise strictly from 0, so 10 taps can never fit a 4-sample
     # prefix; this used to fail mid-run with 'no channel fit'.

@@ -1,5 +1,7 @@
 """Tests for the convolutional code, soft Viterbi decoder, and interleaver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from inofdm.coding import (
     CODE_RATE,
     DEFAULT_CODE,
+    STEP_CHUNK,
     ConvCode,
     InterleaverSpec,
     _tables,
@@ -109,9 +112,17 @@ def reference_viterbi(llrs, generators=(0o171, 0o133), k=7):
     return decoded[:, :m].reshape(lead + (m,))
 
 
+#: Message lengths whose trellis is one step short of, at, and one step
+#: past one and two decoder step chunks, and the link's 672 steps.
+CHUNK_EDGE_MESSAGES = [steps - DEFAULT_CODE.n_tail for steps in (
+    STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1,
+    2 * STEP_CHUNK - 1, 2 * STEP_CHUNK, 2 * STEP_CHUNK + 1, 672)]
+
+
 def random_llrs(rng, shape, kind):
     """LLR blocks of one kind: Gaussian, integer-valued (metric ties),
-    all-zero, or Gaussian with scattered +-inf and NaN entries."""
+    all-zero, Gaussian with scattered +-inf and NaN entries, or Gaussian
+    with NaN pair metrics at one step of the first step chunk."""
     if kind == "integer":
         return rng.integers(-2, 3, size=shape).astype(float)
     if kind == "zero":
@@ -120,6 +131,13 @@ def random_llrs(rng, shape, kind):
     if kind == "nonfinite":
         hits = rng.random(shape) < 0.02
         llrs[hits] = rng.choice([np.inf, -np.inf, np.nan], size=hits.sum())
+    if kind == "early_nan":
+        # +inf and -inf on one step's coded pair make its pair metrics NaN
+        # a few steps before the first step chunk ends; later step chunks
+        # are finite, but their metrics are not.
+        step = min(STEP_CHUNK, shape[-1] // 2) - 4
+        llrs[..., 2 * step] = np.inf
+        llrs[..., 2 * step + 1] = -np.inf
     return llrs
 
 
@@ -259,7 +277,8 @@ class TestViterbi:
             viterbi_decode_soft(np.zeros(12))   # only tail, no message
 
     @given(lead=st.sampled_from([(), (0,), (1,), (31,), (128,), (2, 3)]),
-           m=st.integers(1, 40),
+           m=st.one_of(st.integers(1, 40),
+                       st.sampled_from(CHUNK_EDGE_MESSAGES)),
            kind=st.sampled_from(["gaussian", "integer", "zero", "nonfinite"]),
            seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -272,6 +291,30 @@ class TestViterbi:
         assert decoded.shape == lead + (m,)
         assert decoded.dtype == expected.dtype
         np.testing.assert_array_equal(decoded, expected)
+
+    @pytest.mark.parametrize("m", CHUNK_EDGE_MESSAGES)
+    @pytest.mark.parametrize("kind", ["gaussian", "integer", "zero",
+                                      "nonfinite", "early_nan"])
+    def test_matches_reference_across_step_chunks(self, m, kind):
+        llrs = random_llrs(np.random.default_rng(m),
+                           (5, 2 * (m + DEFAULT_CODE.n_tail)), kind)
+        with np.errstate(invalid="ignore"):
+            decoded = viterbi_decode_soft(llrs)
+            expected = reference_viterbi(llrs)
+        np.testing.assert_array_equal(decoded, expected)
+
+    def test_link_sized_decode_allocates_at_most_4_mb(self):
+        # 128 rows of 1344 LLRs, the rows one decoder call of a sweep holds.
+        # Unpacked survivors alone were 5.5 MB of an 8.7 MB peak; packed,
+        # the peak is about 2.7 MB.
+        llrs = random_llrs(np.random.default_rng(3), (128, 1344), "gaussian")
+        tracemalloc.start()
+        try:
+            viterbi_decode_soft(llrs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
 
     def test_stacked_rows_decode_as_each_row_alone(self):
         rng = np.random.default_rng(7)

@@ -15,6 +15,7 @@ import pytest
 
 from inofdm import config as config_mod
 from inofdm import dnn, link
+from inofdm.coding import viterbi_decode_soft
 from inofdm.mitigation import DetectorSettings, mitigate
 from inofdm.noise_models import BGNoise, MCANoise, SASNoise, sample_noise
 
@@ -347,6 +348,133 @@ def test_sweep_counts_equal_per_policy_receive_batch(chain):
         assert [p.bits for p in points] == [n_batches * batch_bits] * 3
         assert [p.errors for p in points] == list(expected.values())
         assert len(set(expected.values())) > 1   # a row mix-up would show
+
+
+def reference_ber_sweep(cfg, params=None):
+    """One decoder call per batch: the sweep loop before batches were
+    decoded a chunk at a time (oracle).
+
+    Returns:
+        {policy: [(ebn0_db, bits, errors), ...]}, one tuple per grid point.
+    """
+    m = link.bits_per_symbol(cfg)
+    names = tuple(dict.fromkeys(cfg.policies))
+    settings = DetectorSettings(cfg.p_fa, params, cfg.half_width)
+    points = {name: [] for name in names}
+    for point_idx, ebn0 in enumerate(cfg.ebn0_db):
+        errors = dict.fromkeys(names, 0)
+        bits = 0
+        batch_idx = 0
+        while True:
+            rng = np.random.default_rng(np.random.SeedSequence(
+                (cfg.seed, link._TAG_SWEEP, point_idx, batch_idx)))
+            batch = link.simulate_batch(cfg, ebn0, link.BATCH_SYMBOLS, rng)
+            decoded = viterbi_decode_soft(np.concatenate(
+                [link.receive_llrs(cfg, batch, stream) for stream in
+                 mitigate(link.receiver_stream(cfg, batch), names, settings)]))
+            for name, policy_bits in zip(names, np.split(decoded, len(names))):
+                errors[name] += int(np.sum(policy_bits != batch.tx_bits))
+            bits += link.BATCH_SYMBOLS * m
+            batch_idx += 1
+            if bits >= cfg.max_bits or min(errors.values()) >= cfg.min_errors:
+                break
+        for name in names:
+            points[name].append((ebn0, bits, errors[name]))
+    return points
+
+
+_TIME_INTERLEAVED = {"interleaver.time_enabled": True,
+                     "interleaver.time_rows": 8, "interleaver.time_cols": 18}
+_SMALL_BATCH_BITS = link.BATCH_SYMBOLS * 78   # 78 information bits a symbol
+
+
+@pytest.mark.parametrize("chain, case, discards", [
+    # Six batches of one policy: a chunk of four, then the two left.
+    ({}, {"grid.ebn0_db": "10", "sweep.policies": "bln",
+          "sweep.min_errors": 10 ** 9,
+          "sweep.max_bits": 5 * _SMALL_BATCH_BITS + 1}, False),
+    (_TIME_INTERLEAVED, {"grid.ebn0_db": "10", "sweep.policies": "bln",
+                         "sweep.min_errors": 10 ** 9,
+                         "sweep.max_bits": 5 * _SMALL_BATCH_BITS + 1}, False),
+    # min_errors is reached inside a chunk; the rest of it is discarded.
+    ({}, {"grid.ebn0_db": "14", "sweep.policies": "bln", "seed": 2,
+          "sweep.min_errors": 30, "sweep.max_bits": 200_000}, True),
+    (_TIME_INTERLEAVED, {"grid.ebn0_db": "14", "sweep.policies": "bln",
+                         "sweep.min_errors": 30,
+                         "sweep.max_bits": 200_000}, True),
+    # Several points, two policies, both stop rules.
+    ({}, {"grid.ebn0_db": "4,8,12", "sweep.policies": "none,bln",
+          "sweep.min_errors": 150, "sweep.max_bits": 60_000}, None),
+    (_TIME_INTERLEAVED, {"grid.ebn0_db": "4,8,12",
+                         "sweep.policies": "none,bln",
+                         "sweep.min_errors": 150, "sweep.max_bits": 60_000},
+     None),
+], ids=["budget-plain", "budget-ti", "mid_chunk-plain", "mid_chunk-ti",
+        "grid-plain", "grid-ti"])
+def test_chunked_sweep_equals_one_decode_per_batch(chain, case, discards):
+    cfg = small_config(**chain, **{"noise.epsilon": 0.05, **case})
+    assert link.BATCH_SYMBOLS * link.bits_per_symbol(cfg) == _SMALL_BATCH_BITS
+    lines = []
+    curves = link.ber_sweep(cfg, log=lines.append)
+    expected = reference_ber_sweep(cfg)
+    for name, curve in curves.items():
+        assert [(p.ebn0_db, p.bits, p.errors) for p in curve.points] == \
+            expected[name], name
+        assert [p.ber for p in curve.points] == [e / b for _, b, e in
+                                                 expected[name]]
+    if discards is not None:
+        assert any("discarded=0 " not in line for line in lines) == discards
+
+
+def _counting(monkeypatch, name, record):
+    """Wrap ``link.<name>`` so each call appends its positional arguments
+    to ``record``."""
+    inner = getattr(link, name)
+
+    def wrapped(*args, **kwargs):
+        record.append(args)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(link, name, wrapped)
+
+
+def test_fixed_budget_network_point_decodes_once_at_128_rows(monkeypatch):
+    calls = []
+    _counting(monkeypatch, "viterbi_decode_soft", calls)
+    cfg = small_config(**{"noise.epsilon": 0.05, "grid.ebn0_db": "10",
+                          "sweep.policies": "dnn", "sweep.min_errors": 10 ** 9,
+                          "sweep.max_bits": 4 * _SMALL_BATCH_BITS})
+    lines = []
+    point = link.ber_sweep(cfg, dnn.load_model(MODEL_PATH),
+                           log=lines.append)["dnn"].points[0]
+    assert point.bits == 4 * _SMALL_BATCH_BITS
+    assert [args[0].shape[0] for args in calls] == [link.DECODE_ROWS]
+    assert "decodes=1 discarded=0 " in lines[0]
+
+
+def test_point_stopped_by_its_first_batch_simulates_one_batch(monkeypatch):
+    batches = []
+    _counting(monkeypatch, "simulate_batch", batches)
+    cfg = small_config(**{"noise.epsilon": 0.05, "grid.ebn0_db": "4",
+                          "sweep.policies": "bln", "sweep.min_errors": 50,
+                          "sweep.max_bits": 10 ** 6})
+    point = link.ber_sweep(cfg)["bln"].points[0]
+    assert point.errors >= 50 and point.bits == _SMALL_BATCH_BITS
+    assert len(batches) == 1
+
+
+def test_later_chunks_follow_the_observed_error_rate(monkeypatch):
+    # About 380 errors a batch: the first batch alone, then the two that
+    # 1000 errors need at that rate, with none discarded.
+    calls = []
+    _counting(monkeypatch, "viterbi_decode_soft", calls)
+    cfg = small_config(**{"noise.epsilon": 0.05, "grid.ebn0_db": "6",
+                          "sweep.policies": "bln", "sweep.min_errors": 1000,
+                          "sweep.max_bits": 10 ** 6})
+    lines = []
+    point = link.ber_sweep(cfg, log=lines.append)["bln"].points[0]
+    assert [args[0].shape[0] for args in calls] == [32, 64]
+    assert point.bits == 3 * _SMALL_BATCH_BITS and point.errors >= 1000
+    assert "decodes=2 discarded=0 " in lines[0]
 
 
 def test_sweep_applies_configured_p_fa():

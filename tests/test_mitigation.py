@@ -556,17 +556,21 @@ def test_detecting_policies_zero_non_finite_samples():
 
 
 _NON_FINITE = (np.inf, -np.inf, np.nan)
+#: Finite, but |r|^2 overflows: a saturated front end.
+_SATURATED = (1e300, -1e300)
 
 
 @given(st.integers(0, 2 ** 32 - 1),
        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 255),
-                          st.sampled_from(_NON_FINITE), st.booleans()),
+                          st.sampled_from(_NON_FINITE + _SATURATED),
+                          st.booleans()),
                 min_size=1, max_size=6))
 @settings(max_examples=30, deadline=None)
 def test_non_finite_samples_come_out_zero(seed, injections):
-    # +-inf or nan in the real or imaginary part: every detecting policy
-    # returns finite samples, zero at the injected positions, and rows
-    # without an injection exactly as in the uninjected run.
+    # +-inf, nan or +-1e300 in the real or imaginary part: every detecting
+    # policy returns finite samples, zero at the non-finite positions,
+    # saturated samples blanked or clipped, and rows without an injection
+    # exactly as in the uninjected run.
     rng = np.random.default_rng(seed)
     blocks = rng.standard_normal((4, 256)) + 1j * rng.standard_normal((4, 256))
     blocks[rng.random((4, 256)) < 0.03] *= 20.0
@@ -576,12 +580,31 @@ def test_non_finite_samples_come_out_zero(seed, injections):
             hit[row, col] = complex(hit[row, col].real, value)
         else:
             hit[row, col] = complex(value, hit[row, col].imag)
-    injected = ~np.isfinite(hit)
-    untouched = ~injected.any(axis=1)
+    non_finite = ~np.isfinite(hit)
+    saturated = np.isfinite(hit) & (np.abs(hit) >= 1e300)
+    untouched = ~(non_finite | saturated).any(axis=1)
     names = POLICY_NAMES[1:]
     settings = shipped_settings()
     outs = mitigate(hit, names, settings)
     for name, out, base in zip(names, outs, mitigate(blocks, names, settings)):
         assert np.all(np.isfinite(out)), name
-        assert np.all(out[injected] == 0), name
+        assert np.all(out[non_finite] == 0), name
+        if name.endswith("clp"):
+            assert np.all(np.abs(out[saturated]) < 1e3), name
+        else:
+            assert np.all(out[saturated] == 0), name
         assert out[untouched].tobytes() == base[untouched].tobytes(), name
+
+
+def test_block_whose_median_saturates_gets_infinite_power():
+    # Most samples at 1e300: |r|^2 overflows at the median, so the power
+    # is inf, the detectors flag nothing, and nothing warns.
+    block = rayleigh_block(45, 1024)
+    block[:600] = 1e300
+    blocks = np.stack([block, rayleigh_block(46, 1024)])
+    power = estimate_clean_power(blocks)
+    assert power[0] == np.inf and np.isfinite(power[1])
+    assert power[1] == estimate_clean_power(blocks[1])
+    for name, out in zip(POLICY_NAMES, mitigate(blocks, POLICY_NAMES,
+                                                shipped_settings())):
+        assert out[0].tobytes() == blocks[0].tobytes(), name

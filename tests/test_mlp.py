@@ -3,6 +3,7 @@ gradients against central finite differences, the Adam optimizer against an
 independently coded reference, training behaviour and model persistence."""
 
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -66,6 +67,41 @@ def test_relu_basics():
     assert relu(2.0) == 2.0
     out = relu(np.array([-1.0, 0.0, 0.5]))
     assert np.array_equal(out, [0.0, 0.0, 0.5])
+
+
+def reference_sigmoid(x):
+    """The split-by-sign logistic the library used before (oracle)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    expx = np.exp(x[~pos])
+    out[~pos] = expx / (1.0 + expx)
+    return out
+
+
+#: +-0, +-inf, NaN of either sign (with and without a payload), and the
+#: edges where exp overflows, underflows and turns subnormal.
+SIGMOID_SPECIALS = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 709.8, -709.8, 745.0, -745.0, 5e-324,
+     -5e-324, 1e308, -1e308, 1e-308, -1e-308],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+              0xFFF80000DEADBEEF], dtype=np.uint64).view(float),
+])
+
+
+@pytest.mark.parametrize("values", [
+    SIGMOID_SPECIALS,
+    np.random.default_rng(5).standard_normal(4096) * 30.0,
+    np.random.default_rng(6).uniform(-800.0, 800.0, size=(64, 7)),
+], ids=["specials", "gaussian", "wide"])
+def test_sigmoid_matches_split_reference_byte_for_byte(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(values)
+        expected = reference_sigmoid(values)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_sigmoid_center():
