@@ -12,8 +12,8 @@ Schema reference (types: f float, i int, b bool, s string, f* float list):
 
 ofdm.n_fft i, ofdm.cp_len i, ofdm.pilot_spacing i (1 <= s < n_fft),
 ofdm.n_null i (even, >= 0, leaving n_tail + 1 or more data carriers)
-channel.n_taps i (1 <= n_taps <= ofdm.cp_len), channel.mean_arrival f,
-channel.decay f
+channel.n_taps i (1 <= n_taps <= ofdm.cp_len), channel.mean_arrival f (> 0),
+channel.decay f (> 0)
 noise.model s (bg|mca|sas)
 noise.epsilon f (in [0, 1]), noise.sir_db f, noise.burst_len i (>= 1)  (bg)
 noise.a f, noise.gamma f, noise.j_trunc i                        (mca)
@@ -22,7 +22,7 @@ grid.ebn0_db f*
 sweep.policies s (comma list of none|bln|clp|dnn|dnn-clp)
 sweep.p_fa f (in (0, 1): the false-alarm rate of the per-block
     Neyman-Pearson level that sets the blanking level and every clip ceiling)
-sweep.min_errors i, sweep.max_bits i, sweep.perfect_csi b
+sweep.min_errors i (>= 1), sweep.max_bits i (>= 1), sweep.perfect_csi b
 interleaver.tx_enabled b, interleaver.tx_rows i, interleaver.tx_cols i
 interleaver.time_enabled b, interleaver.time_rows i, interleaver.time_cols i
     (rows and cols >= 1; an enabled grid holds at least the 2 * n_data coded
@@ -176,7 +176,11 @@ def resolve_config(file_values: Optional[Mapping[str, str]] = None,
         # Path delays rise strictly from 0 and must stay inside the prefix.
         ("channel.n_taps", lambda v: 1 <= v <= cp_len,
          f"at least 1 and at most ofdm.cp_len = {cp_len}"),
+        ("channel.mean_arrival", lambda v: v > 0.0, "above 0"),
+        ("channel.decay", lambda v: v > 0.0, "above 0"),
         ("sweep.p_fa", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+        ("sweep.min_errors", lambda v: v >= 1, "at least 1"),
+        ("sweep.max_bits", lambda v: v >= 1, "at least 1"),
         ("noise.epsilon", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
         ("noise.burst_len", lambda v: v >= 1, "at least 1"),
         ("train.epsilon", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),

@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -325,6 +327,58 @@ def _sweep_batch(cfg: ExperimentConfig, ebn0: float, point_idx: int,
                            mitigate(receiver_stream(cfg, batch), names, settings)]
 
 
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where there is none."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+#: (cfg, names, settings) of the sweep a forked chunk worker serves.
+_worker_context: tuple = ()
+
+
+def _init_worker(*context) -> None:
+    """Set up a forked chunk worker: the sweep's context, and one OpenBLAS
+    thread, since the workers already fill every CPU (BLAS threads of their
+    own spin against the other workers: twice the CPU time per sweep)."""
+    global _worker_context
+    _worker_context = context
+    import ctypes
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = {line.split(maxsplit=5)[-1].rstrip("\n") for line in fh
+                     if "openblas" in line}
+        for library in map(ctypes.CDLL, paths):
+            for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads",
+                         "scipy_openblas_set_num_threads64_"):
+                if hasattr(library, name):
+                    getattr(library, name)(ctypes.c_int(1))
+    except OSError:
+        pass    # no /proc, or a library that cannot be opened: threads stay
+
+
+def _sweep_chunk(ebn0: float, point_idx: int, first: int, count: int,
+                 context: tuple = ()) -> np.ndarray:
+    """Bit errors of a grid point's batches ``first`` to ``first + count -
+    1``, shape (count, policies), from one decoder call for all of them.
+
+    ``context`` is (cfg, names, settings); a forked worker leaves it empty
+    and uses the one its pool set up with :func:`_init_worker`.
+    """
+    cfg, names, settings = context or _worker_context
+    tx_bits, llrs = [], []
+    for index in range(first, first + count):
+        message, rows = _sweep_batch(cfg, ebn0, point_idx, index, names,
+                                     settings)
+        tx_bits.append(message)
+        llrs.extend(rows)
+    # Rebinding frees the per-policy arrays before the decoder runs.
+    llrs = np.concatenate(llrs)
+    decoded = viterbi_decode_soft(llrs).reshape(count, len(names),
+                                                *tx_bits[0].shape)
+    return np.count_nonzero(decoded != np.stack(tx_bits)[:, None], axis=(2, 3))
+
+
 def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
               log: Optional[Callable[[str], None]] = None) -> Dict[str, BerCurve]:
     """Paired Monte Carlo BER curves for every configured policy.
@@ -336,74 +390,98 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
     been simulated, whichever comes first.
 
     Batches go through the front end a chunk at a time, and the LLR rows of
-    every policy and batch of a chunk go through one decoder call.  A chunk
-    is min(ahead, left, max(certain, forecast)) batches, at least one:
+    every policy and batch of a chunk go through one decoder call.  Up to
+    one chunk per usable CPU (the process's affinity mask, capped at the
+    batches of the budget) is in flight, and batches in flight count as
+    simulated.  The next chunk, dispatched only if it is at least one
+    batch, is min(ahead, target - simulated, share) batches:
 
     * ahead = ceil(DECODE_ROWS / (BATCH_SYMBOLS * policies)), the batches
       that fill a decoder call;
-    * left, the batches ``cfg.max_bits`` still allows;
-    * certain, the batches the stop rule needs even if every decoded bit
-      were wrong, from ``worst``, the fewest errors of any policy so far;
-    * forecast, the batches it needs at ``worst``'s observed rate: none
-      before the point's first decode, so an error-stopped point starts
-      with one batch, and ``ahead`` while ``worst`` is 0.
+    * target, the batches the stop rule is expected to need: before the
+      point's first decode, those it needs if every decoded bit were wrong
+      (so an error-stopped point starts with one chunk); after it, those
+      it needs at the observed rate of ``worst``, the fewest errors of any
+      policy, or ``ahead`` more while ``worst`` is 0;
+    * share = ceil(left / idle CPUs), with left the batches ``cfg.max_bits``
+      still allows, so a fixed budget splits evenly over the CPUs.
 
-    Errors are counted and the stop rule checked batch by batch in index
-    order, so the curves equal those of one decode per batch; batches of a
-    chunk past the stop are discarded.
+    With one CPU every chunk runs in this process.  With more, one worker
+    per CPU is forked, inheriting config and model, the first time a second
+    chunk is wanted in flight.  Errors are counted and the stop rule
+    checked batch by batch in index order, so the curves do not depend on
+    the CPU count and equal those of one decode per batch; batches in
+    flight past the stop are discarded.
     """
-    m = bits_per_symbol(cfg)
-    batch_bits = BATCH_SYMBOLS * m
+    batch_bits = BATCH_SYMBOLS * bits_per_symbol(cfg)
     curves = {name: BerCurve(detector=name, points=[],
                              config_hash=cfg.config_hash, seed=cfg.seed)
               for name in cfg.policies}
     names = tuple(curves)
-    settings = DetectorSettings(cfg.p_fa, params, cfg.half_width)
+    context = (cfg, names, DetectorSettings(cfg.p_fa, params, cfg.half_width))
     ahead = -(-DECODE_ROWS // (BATCH_SYMBOLS * len(names)))
-    for point_idx, ebn0 in enumerate(cfg.ebn0_db):
-        errors = dict.fromkeys(names, 0)
-        batch_idx = simulated = decodes = 0
-        stopped = False
-        while not stopped:
-            worst = min(errors.values())
-            left = -(-(cfg.max_bits - batch_idx * batch_bits) // batch_bits)
-            certain = -(-(cfg.min_errors - worst) // batch_bits)
-            if batch_idx == 0:
-                forecast = 0
-            elif worst == 0:
-                forecast = ahead
-            else:
-                forecast = -(-(cfg.min_errors - worst) * batch_idx // worst)
-            chunk = max(1, min(ahead, left, max(certain, forecast)))
-            simulated += chunk
-            tx_bits, llrs = [], []
-            for index in range(batch_idx, batch_idx + chunk):
-                message, rows = _sweep_batch(cfg, ebn0, point_idx, index,
-                                             names, settings)
-                tx_bits.append(message)
-                llrs.extend(rows)
-            # Rebinding frees the per-policy arrays before the decoder runs.
-            llrs = np.concatenate(llrs)
-            decoded = viterbi_decode_soft(llrs).reshape(
-                chunk, len(names), BATCH_SYMBOLS, m)
-            decodes += 1
-            for message, batch_decoded in zip(tx_bits, decoded):
-                for name, policy_bits in zip(names, batch_decoded):
-                    errors[name] += int(np.count_nonzero(policy_bits != message))
-                batch_idx += 1
-                stopped = (batch_idx * batch_bits >= cfg.max_bits
-                           or min(errors.values()) >= cfg.min_errors)
-                if stopped:
-                    break
-        bits = batch_idx * batch_bits
-        for name in names:
-            curves[name].points.append(BerPoint(
-                ebn0_db=ebn0, ber=errors[name] / bits, bits=bits,
-                errors=errors[name]))
-        if log is not None:
-            summary = " ".join(f"{n}={errors[n] / bits:.3g}" for n in names)
-            log(f"ebn0={ebn0:g} dB bits={bits} decodes={decodes} "
-                f"discarded={simulated - batch_idx} {summary}")
+    budget = -(-cfg.max_bits // batch_bits)
+    cpus = min(_usable_cpus(), budget)   # no chunk is shorter than a batch
+    pool = None
+    try:
+        for point_idx, ebn0 in enumerate(cfg.ebn0_db):
+            errors = np.zeros(len(names), dtype=np.int64)
+            counted = dispatched = decodes = 0
+            pending = deque()       # (chunk arguments, future or None)
+            stopped = False
+            while not stopped:
+                while len(pending) < cpus:
+                    # How many batches the stop rule is expected to need.
+                    worst = int(errors.min())
+                    if counted == 0:
+                        target = -(-cfg.min_errors // batch_bits)
+                    elif worst == 0:
+                        target = dispatched + ahead
+                    else:
+                        target = counted + -(-(cfg.min_errors - worst)
+                                             * counted // worst)
+                    left = budget - dispatched
+                    chunk = min(ahead, target - dispatched,
+                                -(-left // (cpus - len(pending))))
+                    if chunk < 1:
+                        break
+                    if pending and pool is None:
+                        # Imported here: at module level they would add
+                        # about 20 ms to every start of the program.
+                        from concurrent.futures import ProcessPoolExecutor
+                        from multiprocessing import get_context
+                        pool = ProcessPoolExecutor(
+                            cpus, get_context("fork"),
+                            initializer=_init_worker, initargs=context)
+                        pending = deque((args, pool.submit(_sweep_chunk, *args))
+                                        for args, _ in pending)
+                    args = (ebn0, point_idx, dispatched, chunk)
+                    pending.append((args, None if pool is None else
+                                    pool.submit(_sweep_chunk, *args)))
+                    dispatched += chunk
+                    decodes += 1
+                args, future = pending.popleft()
+                for batch_errors in (_sweep_chunk(*args, context) if future is None
+                                     else future.result()):
+                    errors += batch_errors
+                    counted += 1
+                    stopped = (counted == budget
+                               or errors.min() >= cfg.min_errors)
+                    if stopped:
+                        break
+            bits = counted * batch_bits
+            counts = errors.tolist()
+            for name, count in zip(names, counts):
+                curves[name].points.append(BerPoint(
+                    ebn0_db=ebn0, ber=count / bits, bits=bits, errors=count))
+            if log is not None:
+                summary = " ".join(f"{n}={c / bits:.3g}"
+                                   for n, c in zip(names, counts))
+                log(f"ebn0={ebn0:g} dB bits={bits} decodes={decodes} "
+                    f"discarded={dispatched - counted} {summary}")
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return curves
 
 

@@ -311,6 +311,13 @@ def test_out_of_range_p_fa_names_key_at_load(cfg_file, tmp_path, capsys, p_fa):
     ("ofdm.n_null", "90"),          # 6 data carriers cannot carry the tail
     ("channel.n_taps", "0"),
     ("channel.n_taps", "17"),       # delays 0..16 overrun the 16-sample prefix
+    ("channel.mean_arrival", "0"),  # these failed in ChannelProfile,
+    ("channel.decay", "-1"),        # naming no key
+    ("channel.decay", "nan"),
+    ("sweep.min_errors", "0"),      # these ran and wrote a one-batch point
+    ("sweep.min_errors", "-1"),
+    ("sweep.max_bits", "0"),
+    ("sweep.max_bits", "-5"),
 ])
 def test_out_of_range_value_names_key_at_load(cfg_file, tmp_path, capsys,
                                               key, value):
@@ -336,6 +343,13 @@ def test_range_limits_are_inclusive(cfg_file):
     cfg = config_mod.load_config(cfg_file, {"ofdm.n_null": "88",
                                             "channel.n_taps": "16"})
     assert cfg.ofdm.n_data == 8
+    # A one-bit budget, a one-error target, and the least positive spacing
+    # and decay.
+    cfg = config_mod.load_config(cfg_file, {
+        "sweep.max_bits": "1", "sweep.min_errors": "1",
+        "channel.mean_arrival": "5e-324", "channel.decay": "5e-324"})
+    assert (cfg.max_bits, cfg.min_errors) == (1, 1)
+    assert cfg.channel.mean_arrival == cfg.channel.decay == 5e-324
     # Pilots on carriers 0 and 127, the two that channel estimation needs.
     cfg = config_mod.load_config(cfg_file, {
         "ofdm.pilot_spacing": "127", "ofdm.n_null": "0",

@@ -7,7 +7,13 @@ scaled-down grid (N=128 with a 3-tap channel); physics checks that depend on
 the published dimensioning use the default configuration.
 """
 
+import concurrent.futures
+import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -428,7 +434,9 @@ def test_chunked_sweep_equals_one_decode_per_batch(chain, case, discards):
 
 def _counting(monkeypatch, name, record):
     """Wrap ``link.<name>`` so each call appends its positional arguments
-    to ``record``."""
+    to ``record``.  A call made in a forked worker would not reach
+    ``record``, so this also pins the sweep to one usable CPU."""
+    monkeypatch.setattr(link, "_usable_cpus", lambda: 1)
     inner = getattr(link, name)
 
     def wrapped(*args, **kwargs):
@@ -475,6 +483,128 @@ def test_later_chunks_follow_the_observed_error_rate(monkeypatch):
     assert [args[0].shape[0] for args in calls] == [32, 64]
     assert point.bits == 3 * _SMALL_BATCH_BITS and point.errors >= 1000
     assert "decodes=2 discarded=0 " in lines[0]
+
+
+def _sweep_on(monkeypatch, cpus, cfg, params=None):
+    """Sweep with ``cpus`` usable CPUs; returns the curves as tuples, the
+    log lines, and (workers, start method) of every pool the sweep made."""
+    monkeypatch.setattr(link, "_usable_cpus", lambda: cpus)
+    pools = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def pool(workers, mp_context, **kwargs):
+        pools.append((workers, mp_context.get_start_method()))
+        return real_pool(workers, mp_context, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    lines = []
+    curves = link.ber_sweep(cfg, params, log=lines.append)
+    assert multiprocessing.active_children() == []
+    return ({name: [(p.ebn0_db, p.bits, p.errors, p.ber) for p in c.points]
+             for name, c in curves.items()},
+            lines, pools)
+
+
+@pytest.mark.parametrize("chain, case, forks", [
+    # Six batches of four policies: one batch a chunk, one chunk per CPU.
+    ({}, {"grid.ebn0_db": "10", "sweep.policies": "none,dnn,bln,clp",
+          "sweep.min_errors": 10 ** 9,
+          "sweep.max_bits": 5 * _SMALL_BATCH_BITS + 1}, True),
+    # Six batches of one policy: 3+3 on two CPUs, 2+2+2 on three.
+    (_TIME_INTERLEAVED, {"grid.ebn0_db": "10", "sweep.policies": "bln",
+                         "sweep.min_errors": 10 ** 9,
+                         "sweep.max_bits": 5 * _SMALL_BATCH_BITS + 1}, True),
+    # min_errors is reached inside a chunk.
+    ({}, {"grid.ebn0_db": "14", "sweep.policies": "bln", "seed": 2,
+          "sweep.min_errors": 30, "sweep.max_bits": 200_000}, True),
+    ({}, {"grid.ebn0_db": "4,8,12", "sweep.policies": "none,bln",
+          "sweep.min_errors": 150, "sweep.max_bits": 60_000}, True),
+    # Stopped by its first batch: nothing to run beside it, nothing forked.
+    ({}, {"grid.ebn0_db": "4", "sweep.policies": "bln",
+          "sweep.min_errors": 50, "sweep.max_bits": 10 ** 6}, False),
+], ids=["budget-4pol", "budget-ti", "mid_chunk", "grid", "first_batch"])
+def test_sweep_does_not_depend_on_the_cpu_count(monkeypatch, chain, case,
+                                                 forks):
+    cfg = small_config(**chain, **{"noise.epsilon": 0.05, **case})
+    params = dnn.load_model(MODEL_PATH)
+    one, one_lines, one_forks = _sweep_on(monkeypatch, 1, cfg, params)
+    assert one_forks == []
+    for cpus in (2, 3):
+        curves, lines, pools = _sweep_on(monkeypatch, cpus, cfg, params)
+        assert curves == one, cpus
+        assert [line.split()[2] for line in lines] == \
+            [line.split()[2] for line in one_lines], cpus
+        assert pools == ([(cpus, "fork")] if forks else []), cpus
+
+
+@pytest.mark.parametrize("cpus, decodes, pools", [
+    (1, 1, []), (2, 2, [(2, "fork")]), (3, 3, [(3, "fork")]),
+    (8, 4, [(4, "fork")]),
+])
+def test_fixed_budget_splits_evenly_over_the_cpus(monkeypatch, cpus, decodes,
+                                                   pools):
+    # Four batches of one policy: 4 on one CPU, 2+2 on two, 2+1+1 on three,
+    # and four workers of one batch each on eight.
+    cfg = small_config(**{"noise.epsilon": 0.05, "grid.ebn0_db": "10",
+                          "sweep.policies": "bln", "sweep.min_errors": 10 ** 9,
+                          "sweep.max_bits": 4 * _SMALL_BATCH_BITS})
+    _, lines, made = _sweep_on(monkeypatch, cpus, cfg)
+    assert f"decodes={decodes} discarded=0 " in lines[0]
+    assert made == pools
+
+
+class WorkerFailure(Exception):
+    """Raised on purpose inside a sweep worker."""
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_worker_exception_reaches_the_caller(monkeypatch, cpus):
+    # One policy and four batches: on two CPUs, batches 2-3 are the second
+    # worker's chunk.
+    def failing(cfg, ebn0, point_idx, batch_idx, names, settings):
+        raise WorkerFailure(f"batch {batch_idx}")
+    real_sweep_batch = link._sweep_batch
+    monkeypatch.setattr(link, "_sweep_batch", lambda *args: (
+        failing if args[3] == 2 else real_sweep_batch)(*args))
+    monkeypatch.setattr(link, "_usable_cpus", lambda: cpus)
+    cfg = small_config(**{"grid.ebn0_db": "10", "sweep.policies": "bln",
+                          "sweep.min_errors": 10 ** 9,
+                          "sweep.max_bits": 4 * _SMALL_BATCH_BITS})
+    with pytest.raises(WorkerFailure, match="batch 2"):
+        link.ber_sweep(cfg)
+    assert multiprocessing.active_children() == []
+
+
+_BLAS_THREADS = """
+import ctypes, json
+import numpy
+from inofdm import link
+with open("/proc/self/maps") as fh:
+    paths = {line.split(maxsplit=5)[-1].rstrip() for line in fh
+             if "openblas" in line}
+getters = [getattr(library, name) for library in map(ctypes.CDLL, paths)
+           for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                        "scipy_openblas_get_num_threads",
+                        "scipy_openblas_get_num_threads64_")
+           if hasattr(library, name)]
+before = [get() for get in getters]
+link._init_worker()
+print(json.dumps([before, [get() for get in getters]]))
+"""
+
+
+def test_worker_set_up_leaves_openblas_one_thread():
+    # Run in a fresh interpreter allowed two BLAS threads, so that this
+    # process keeps its own.
+    if not (hasattr(os, "sched_getaffinity") and Path("/proc/self/maps").exists()):
+        pytest.skip("no affinity mask or /proc here, so no sweep workers")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=str(Path(link.__file__).parents[1]))
+    before, after = json.loads(subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS], env=env, capture_output=True,
+        text=True, check=True).stdout)
+    if max(before, default=1) < 2:
+        pytest.skip("no OpenBLAS here that runs more than one thread")
+    assert after == [1] * len(after)
 
 
 def test_sweep_applies_configured_p_fa():
