@@ -1,10 +1,10 @@
 """Rate-1/2 convolutional code with soft Viterbi decoding, plus interleaving.
 
-The code is the constraint-length-7 pair with octal generators (171, 133),
-written MSB-first on the current input: 171 = 1 + D + D^2 + D^3 + D^6 and
-133 = 1 + D^2 + D^3 + D^5 + D^6.  Encoding appends K-1 = 6 zero tail bits so
-the trellis starts and ends in the all-zero state, and the decoder exploits
-both endpoints.
+The code is fixed by module constants: :data:`CONSTRAINT_LENGTH` K = 7, the
+octal :data:`GENERATORS` (171, 133) MSB-first on the current input (171 = 1 +
+D + D^2 + D^3 + D^6, 133 = 1 + D^2 + D^3 + D^5 + D^6), :data:`N_STATES` = 64
+and :data:`N_TAIL` = K-1 = 6 zero tail bits, which end every message so the
+trellis starts and ends in the all-zero state; the decoder exploits both.
 
 The decoder consumes log-likelihood ratios log P(c=0)/P(c=1) (positive LLR
 votes for coded bit 0, matching :func:`inofdm.ofdm.qpsk_llr`) and maximizes
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
 
 import numpy as np
 
@@ -50,38 +49,18 @@ def _reverse_bits(value: int, width: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ConvCode:
-    """Feed-forward convolutional code description."""
-
-    constraint_length: int = 7
-    generators: Tuple[int, int] = (0o171, 0o133)
-
-    def __post_init__(self) -> None:
-        if self.constraint_length < 2:
-            raise ValueError("constraint_length must be at least 2")
-        top = 1 << self.constraint_length
-        if any(not 0 < g < top for g in self.generators):
-            raise ValueError("generators must fit the constraint length")
-
-    @property
-    def n_states(self) -> int:
-        return 1 << (self.constraint_length - 1)
-
-    @property
-    def n_tail(self) -> int:
-        return self.constraint_length - 1
-
-
-DEFAULT_CODE = ConvCode()
+CONSTRAINT_LENGTH = 7
+GENERATORS = (0o171, 0o133)
+N_STATES = 1 << (CONSTRAINT_LENGTH - 1)
+N_TAIL = CONSTRAINT_LENGTH - 1
 CODE_RATE = 0.5
 
 #: Trellis steps the decoder advances between packing survivor bits.
 STEP_CHUNK = 64
 
 
-@lru_cache(maxsize=4)
-def _tables(code: ConvCode) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _tables() -> np.ndarray:
     """Precompute the branch output table.
 
     States hold the most recent K-1 input bits, newest in the LSB.  Shifting
@@ -94,14 +73,13 @@ def _tables(code: ConvCode) -> np.ndarray:
         out_pair, shape (n_states, 2), where out_pair[s, u] is the 2-bit
         output 2*c0 + c1 of the branch leaving state s on input u.
     """
-    k = code.constraint_length
-    n_states = code.n_states
-    masks = [_reverse_bits(g, k) for g in code.generators]
+    k = CONSTRAINT_LENGTH
+    masks = [_reverse_bits(g, k) for g in GENERATORS]
     parity = np.zeros(1 << k, dtype=np.uint8)
     for r in range(1 << k):
         parity[r] = bin(r).count("1") & 1
-    out_pair = np.zeros((n_states, 2), dtype=np.intp)
-    for s in range(n_states):
+    out_pair = np.zeros((N_STATES, 2), dtype=np.intp)
+    for s in range(N_STATES):
         for u in (0, 1):
             r = (s << 1) | u
             c0 = parity[r & masks[0]]
@@ -110,12 +88,11 @@ def _tables(code: ConvCode) -> np.ndarray:
     return out_pair
 
 
-def conv_encode(bits: np.ndarray, code: ConvCode = DEFAULT_CODE) -> np.ndarray:
+def conv_encode(bits: np.ndarray) -> np.ndarray:
     """Encode messages with zero-tail termination.
 
     Args:
         bits: Message bits, shape (..., m), values 0/1.
-        code: Code description.
 
     Returns:
         Coded bits, shape (..., 2*(m + K - 1)), the two generator outputs
@@ -128,8 +105,8 @@ def conv_encode(bits: np.ndarray, code: ConvCode = DEFAULT_CODE) -> np.ndarray:
         raise ValueError("message bits must be 0 or 1")
     lead = bits.shape[:-1]
     m = bits.shape[-1]
-    k = code.constraint_length
-    tail = code.n_tail
+    k = CONSTRAINT_LENGTH
+    tail = N_TAIL
     n_steps = m + tail
     # Output t of a generator is the XOR, over its taps at lag d, of input
     # t - d; zeros on both sides of the message supply the register's
@@ -137,15 +114,14 @@ def conv_encode(bits: np.ndarray, code: ConvCode = DEFAULT_CODE) -> np.ndarray:
     padded = np.zeros(lead + (m + 2 * tail,), dtype=np.uint8)
     padded[..., tail:tail + m] = bits
     coded = np.zeros(lead + (n_steps, 2), dtype=np.uint8)
-    for column, generator in enumerate(code.generators):
+    for column, generator in enumerate(GENERATORS):
         for lag in range(k):
             if generator >> (k - 1 - lag) & 1:
                 coded[..., column] ^= padded[..., tail - lag:tail - lag + n_steps]
     return coded.reshape(lead + (2 * n_steps,))
 
 
-def viterbi_decode_soft(llrs: np.ndarray,
-                        code: ConvCode = DEFAULT_CODE) -> np.ndarray:
+def viterbi_decode_soft(llrs: np.ndarray) -> np.ndarray:
     """Soft-decision Viterbi decode of zero-terminated blocks.
 
     All blocks advance together: path metrics are held states-major, shape
@@ -167,7 +143,6 @@ def viterbi_decode_soft(llrs: np.ndarray,
     Args:
         llrs: Coded-bit LLRs, shape (..., 2*(m + K - 1)); positive means the
             coded bit is more likely 0.  Leading axes are independent blocks.
-        code: Code description.
 
     Returns:
         Decoded message bits, shape (..., m), tail removed.
@@ -176,14 +151,14 @@ def viterbi_decode_soft(llrs: np.ndarray,
     if llrs.shape[-1] % 2 != 0:
         raise ValueError("LLR count must be even (two coded bits per step)")
     n_steps = llrs.shape[-1] // 2
-    if n_steps <= code.n_tail:
+    if n_steps <= N_TAIL:
         raise ValueError("block too short for the termination tail")
     lead = llrs.shape[:-1]
     flat = llrs.reshape(-1, 2 * n_steps)
     n_rows = flat.shape[0]
-    n_states = code.n_states
+    n_states = N_STATES
     half = n_states // 2
-    branch_pair = _tables(code).reshape(2, half, 2)
+    branch_pair = _tables().reshape(2, half, 2)
     metric = np.full((n_states, n_rows), -np.inf)
     metric[0] = 0.0
     cand = np.empty((2, half, 2, n_rows))
@@ -229,7 +204,7 @@ def viterbi_decode_soft(llrs: np.ndarray,
             decoded[:, start + t] = state & 1
             came_hi = choose_hi[t].take(state * n_rows + rows)
             state = (state >> 1) | (came_hi * half)
-    m = n_steps - code.n_tail
+    m = n_steps - N_TAIL
     return decoded[:, :m].reshape(lead + (m,))
 
 

@@ -15,9 +15,14 @@ ofdm.n_null i (even, >= 0, leaving n_tail + 1 or more data carriers)
 channel.n_taps i (1 <= n_taps <= ofdm.cp_len), channel.mean_arrival f (> 0),
 channel.decay f (> 0)
 noise.model s (bg|mca|sas)
-noise.epsilon f (in [0, 1]), noise.sir_db f, noise.burst_len i (>= 1)  (bg)
-noise.a f, noise.gamma f, noise.j_trunc i                        (mca)
-noise.alpha f, noise.beta f, noise.scale f, noise.loc f          (sas)
+noise.epsilon f (in [0, 1]), noise.sir_db f, noise.burst_len i (>= 1, and
+    1 unless noise.model = bg)                                   (bg)
+noise.a f (finite, > 0), noise.gamma f (finite, > 0),
+noise.j_trunc i (in [1, 171], the retained terms carrying MCA_MIN_MASS of
+    the Poisson mass for noise.a)                                (mca)
+noise.alpha f (in (0, 2]), noise.beta f (in [-1, 1]),
+noise.scale f (finite, > 0), noise.loc f                         (sas)
+    Every noise key is checked whichever noise.model is chosen.
 grid.ebn0_db f*
 sweep.policies s (comma list of none|bln|clp|dnn|dnn-clp)
 sweep.p_fa f (in (0, 1): the false-alarm rate of the per-block
@@ -38,13 +43,15 @@ seed i
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .coding import DEFAULT_CODE, InterleaverSpec
+from .coding import N_TAIL, InterleaverSpec
 from .dnn import TrainConfig
 from .mitigation import POLICY_NAMES
-from .ofdm import ChannelProfile, OfdmConfig, make_config
+from .noise_models import MCANoise
+from .ofdm import ChannelProfile, OfdmConfig
 
 _NOISE_MODELS = ("bg", "mca", "sas")
 
@@ -170,8 +177,8 @@ def resolve_config(file_values: Optional[Mapping[str, str]] = None,
          f"at least 1 and below ofdm.n_fft = {n_fft}"),
         # The data carriers, neither pilot nor null, must outnumber the tail.
         ("ofdm.n_null", lambda v: v % 2 == 0 and 0 <= v <= (
-            n_fft - len(range(0, n_fft, spacing)) - DEFAULT_CODE.n_tail - 1),
-         f"even, at least 0, and leaving {DEFAULT_CODE.n_tail + 1} or more "
+            n_fft - len(range(0, n_fft, spacing)) - N_TAIL - 1),
+         f"even, at least 0, and leaving {N_TAIL + 1} or more "
          "data carriers"),
         # Path delays rise strictly from 0 and must stay inside the prefix.
         ("channel.n_taps", lambda v: 1 <= v <= cp_len,
@@ -182,7 +189,16 @@ def resolve_config(file_values: Optional[Mapping[str, str]] = None,
         ("sweep.min_errors", lambda v: v >= 1, "at least 1"),
         ("sweep.max_bits", lambda v: v >= 1, "at least 1"),
         ("noise.epsilon", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-        ("noise.burst_len", lambda v: v >= 1, "at least 1"),
+        ("noise.burst_len", lambda v: v == 1 or (v > 1 and model == "bg"),
+         "at least 1, and 1 unless noise.model = bg"),
+        ("noise.a", lambda v: 0.0 < v < math.inf, "above 0 and finite"),
+        ("noise.gamma", lambda v: 0.0 < v < math.inf, "above 0 and finite"),
+        # Term j of the Class A series divides by j!, which no float holds
+        # past j = 170.
+        ("noise.j_trunc", lambda v: 1 <= v <= 171, "at least 1 and at most 171"),
+        ("noise.alpha", lambda v: 0.0 < v <= 2.0, "in (0, 2]"),
+        ("noise.beta", lambda v: -1.0 <= v <= 1.0, "in [-1, 1]"),
+        ("noise.scale", lambda v: 0.0 < v < math.inf, "above 0 and finite"),
         ("train.epsilon", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
         ("train.epochs", lambda v: v >= 1, "at least 1"),
         ("train.batch_size", lambda v: v >= 1, "at least 1"),
@@ -195,6 +211,16 @@ def resolve_config(file_values: Optional[Mapping[str, str]] = None,
         for item in value if isinstance(value, tuple) else (value,):
             if not in_range(item):
                 raise ValueError(f"config key {key!r}: must be {rule}, got {item}")
+    # The retained Class A terms must carry the Poisson mass the sampler
+    # requires; the power scale does not enter the mass.
+    try:
+        MCANoise(overlap_a=typed["noise.a"], gamma=typed["noise.gamma"],
+                 sigma_n2=1.0, j_trunc=typed["noise.j_trunc"])
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"config key 'noise.j_trunc': {typed['noise.j_trunc']} terms do "
+            f"not hold the Class A mass of noise.a = {typed['noise.a']}: "
+            f"{exc}") from exc
     for name in str(typed["sweep.policies"]).split(","):
         if name.strip() not in POLICY_NAMES:
             raise ValueError(
@@ -256,9 +282,9 @@ class ExperimentConfig:
 
 def build_config(typed: Mapping[str, object]) -> ExperimentConfig:
     """Construct the typed experiment config from resolved values."""
-    ofdm = make_config(n_fft=typed["ofdm.n_fft"], cp_len=typed["ofdm.cp_len"],
-                       pilot_spacing=typed["ofdm.pilot_spacing"],
-                       n_null=typed["ofdm.n_null"])
+    ofdm = OfdmConfig(n_fft=typed["ofdm.n_fft"], cp_len=typed["ofdm.cp_len"],
+                      pilot_spacing=typed["ofdm.pilot_spacing"],
+                      n_null=typed["ofdm.n_null"])
     channel = ChannelProfile(n_taps=typed["channel.n_taps"],
                              mean_arrival=typed["channel.mean_arrival"],
                              decay=typed["channel.decay"])

@@ -28,6 +28,11 @@ LAYER_SIZES = (3, 20, 10, 1)
 #: Probability clamp used inside the cross-entropy.
 EPS_CLAMP = 1e-12
 
+#: Adam's moment decay rates and denominator offset.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 _SHAPES = {
     "w1": (LAYER_SIZES[1], LAYER_SIZES[0]),
     "b1": (LAYER_SIZES[1],),
@@ -206,17 +211,13 @@ class AdamState:
     moment2: Dict[str, np.ndarray]
     step: int = 0
     eta: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(params: MlpParams, eta: float = 0.01, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def init_adam(params: MlpParams, eta: float = 0.01) -> AdamState:
     zeros = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
     return AdamState(moment1=zeros,
                      moment2={k: v.copy() for k, v in zeros.items()},
-                     step=0, eta=eta, beta1=beta1, beta2=beta2, eps=eps)
+                     step=0, eta=eta)
 
 
 def adam_step(state: AdamState, params: MlpParams,
@@ -226,11 +227,11 @@ def adam_step(state: AdamState, params: MlpParams,
     new_values = {}
     for key, theta in params.as_dict().items():
         g = grads[key]
-        state.moment1[key] = state.beta1 * state.moment1[key] + (1 - state.beta1) * g
-        state.moment2[key] = state.beta2 * state.moment2[key] + (1 - state.beta2) * g ** 2
-        m_hat = state.moment1[key] / (1.0 - state.beta1 ** k)
-        v_hat = state.moment2[key] / (1.0 - state.beta2 ** k)
-        new_values[key] = theta - state.eta * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.moment1[key] = ADAM_BETA1 * state.moment1[key] + (1 - ADAM_BETA1) * g
+        state.moment2[key] = ADAM_BETA2 * state.moment2[key] + (1 - ADAM_BETA2) * g ** 2
+        m_hat = state.moment1[key] / (1.0 - ADAM_BETA1 ** k)
+        v_hat = state.moment2[key] / (1.0 - ADAM_BETA2 ** k)
+        new_values[key] = theta - state.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     state.step = k
     return replace(params, **new_values), state
 

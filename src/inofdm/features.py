@@ -56,38 +56,6 @@ STD_FLOOR = 1e-12
 DETECTOR_BLOCK_ROWS = 4096
 
 
-def road(window: np.ndarray) -> float:
-    """Rank-ordered absolute difference of a single window.
-
-    Args:
-        window: Complex (or real) samples of odd length 2n+1; the center
-            element is the sample under test.
-
-    Returns:
-        Sum of the n smallest of the 2n absolute differences between the
-        center and its neighbors.
-    """
-    window = np.asarray(window)
-    if window.ndim != 1 or len(window) % 2 == 0 or len(window) < 3:
-        raise ValueError("window must be 1-D with odd length >= 3")
-    n = len(window) // 2
-    diffs = np.abs(np.delete(window - window[n], n))
-    return float(np.sort(diffs)[:n].sum())
-
-
-def median_deviation(window: np.ndarray) -> float:
-    """Signed deviation of the center magnitude from the window median.
-
-    Returns |center| - median(|window|); the caller takes the absolute
-    value when forming the third feature.
-    """
-    window = np.asarray(window)
-    if window.ndim != 1 or len(window) % 2 == 0 or len(window) < 3:
-        raise ValueError("window must be 1-D with odd length >= 3")
-    mags = np.abs(window)
-    return float(mags[len(window) // 2] - np.median(mags))
-
-
 def _odd_even_merge_sort(size: int):
     """Comparators (i, j), i < j, of Batcher's odd-even merge sort of
     ``size`` inputs: the power-of-two network with every comparator that

@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .coding import (CODE_RATE, DEFAULT_CODE, conv_encode, deinterleave,
+from .coding import (CODE_RATE, N_TAIL, conv_encode, deinterleave,
                      interleave, viterbi_decode_soft)
 from .config import ExperimentConfig
 from .dnn import MlpParams
@@ -74,11 +74,9 @@ _TAG_SHUFFLE = 3
 
 
 def bits_per_symbol(cfg: ExperimentConfig) -> int:
-    """Information bits carried by one OFDM symbol (tail excluded)."""
-    m = cfg.ofdm.n_data - DEFAULT_CODE.n_tail
-    if m < 1:
-        raise ValueError("carrier grid too small for the termination tail")
-    return m
+    """Information bits carried by one OFDM symbol (tail excluded); the
+    config's ``ofdm.n_null`` check keeps it at least 1."""
+    return cfg.ofdm.n_data - N_TAIL
 
 
 def awgn_power(ebn0_db: float) -> float:
@@ -267,8 +265,6 @@ def generate_dataset(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
     label_parts = []
     for ci, (ebn0, sir, eps) in enumerate(combos):
         count = base + (1 if ci < extra else 0)
-        if count == 0:
-            continue
         point_cfg = dc_replace(cfg, noise_model="bg", sir_db=sir, epsilon=eps,
                                burst_len=1, time_interleaver=None)
         rng = np.random.default_rng(np.random.SeedSequence(
@@ -332,16 +328,10 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-#: (cfg, names, settings) of the sweep a forked chunk worker serves.
-_worker_context: tuple = ()
-
-
-def _init_worker(*context) -> None:
-    """Set up a forked chunk worker: the sweep's context, and one OpenBLAS
-    thread, since the workers already fill every CPU (BLAS threads of their
-    own spin against the other workers: twice the CPU time per sweep)."""
-    global _worker_context
-    _worker_context = context
+def _init_worker() -> None:
+    """Set up a forked chunk worker with one OpenBLAS thread, since the
+    workers already fill every CPU (BLAS threads of their own spin against
+    the other workers: twice the CPU time per sweep)."""
     import ctypes
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
@@ -357,15 +347,12 @@ def _init_worker(*context) -> None:
         pass    # no /proc, or a library that cannot be opened: threads stay
 
 
-def _sweep_chunk(ebn0: float, point_idx: int, first: int, count: int,
-                 context: tuple = ()) -> np.ndarray:
-    """Bit errors of a grid point's batches ``first`` to ``first + count -
-    1``, shape (count, policies), from one decoder call for all of them.
-
-    ``context`` is (cfg, names, settings); a forked worker leaves it empty
-    and uses the one its pool set up with :func:`_init_worker`.
-    """
-    cfg, names, settings = context or _worker_context
+def _sweep_chunk(context: tuple, ebn0: float, point_idx: int, first: int,
+                 count: int) -> np.ndarray:
+    """Bit errors, shape (count, policies), of the grid point's batches
+    ``first`` to ``first + count - 1`` of the sweep ``context`` (cfg, names,
+    settings), from one decoder call for all of them."""
+    cfg, names, settings = context
     tx_bits, llrs = [], []
     for index in range(first, first + count):
         message, rows = _sweep_batch(cfg, ebn0, point_idx, index, names,
@@ -407,8 +394,9 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
       still allows, so a fixed budget splits evenly over the CPUs.
 
     With one CPU every chunk runs in this process.  With more, one worker
-    per CPU is forked, inheriting config and model, the first time a second
-    chunk is wanted in flight.  Errors are counted and the stop rule
+    per CPU is forked the first time a second chunk is wanted in flight,
+    and each chunk carries the sweep's config, policies and detector
+    settings (the model included).  Errors are counted and the stop rule
     checked batch by batch in index order, so the curves do not depend on
     the CPU count and equal those of one decode per batch; batches in
     flight past the stop are discarded.
@@ -452,16 +440,16 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
                         from multiprocessing import get_context
                         pool = ProcessPoolExecutor(
                             cpus, get_context("fork"),
-                            initializer=_init_worker, initargs=context)
+                            initializer=_init_worker)
                         pending = deque((args, pool.submit(_sweep_chunk, *args))
                                         for args, _ in pending)
-                    args = (ebn0, point_idx, dispatched, chunk)
+                    args = (context, ebn0, point_idx, dispatched, chunk)
                     pending.append((args, None if pool is None else
                                     pool.submit(_sweep_chunk, *args)))
                     dispatched += chunk
                     decodes += 1
                 args, future = pending.popleft()
-                for batch_errors in (_sweep_chunk(*args, context) if future is None
+                for batch_errors in (_sweep_chunk(*args) if future is None
                                      else future.result()):
                     errors += batch_errors
                     counted += 1

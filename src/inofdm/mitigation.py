@@ -4,7 +4,7 @@ A policy is a name from :data:`POLICY_NAMES`: a detector that turns a block
 of received time-domain samples into a 0/1 mask, and a suppressor that
 rewrites the flagged samples.
 
-* ``none`` - pass-through;
+* ``none`` - pass-through of the finite samples;
 * ``bln``/``clp`` - the threshold detector with blanking/clipping: it flags
   |r| above the per-block Neyman-Pearson level sqrt(-sigma2 * ln p_fa),
   where sigma2 is the block's robust clean-power estimate (median of |r|^2
@@ -19,8 +19,9 @@ rewrites the flagged samples.
 Blanking zeroes the flagged samples.  Clipping clamps them to the same
 per-block Neyman-Pearson level at the configured false-alarm rate, phase
 preserved; flagged samples already at or below it pass through.  Every
-detecting policy first zeroes non-finite samples, so ``inf`` and ``nan``
-never reach the power estimate, the features or the output.
+policy, ``none`` included, first zeroes non-finite samples, so ``inf`` and
+``nan`` never reach the power estimate, the features, the output or the
+receiver's DFT after it.
 
 All sample functions accept leading batch dimensions (blocks on the last
 axis).
@@ -187,13 +188,13 @@ def mitigate(samples: np.ndarray, names: Sequence[str],
     for name in names:
         if name not in POLICY_NAMES:
             raise ValueError(f"unknown policy {name!r}")
+    finite = np.where(np.isfinite(samples), samples, 0)
     kinds = sorted({_KIND[name] for name in names if name != "none"})
     if kinds:
-        finite = np.where(np.isfinite(samples), samples, 0)
         power = estimate_clean_power(finite)
         masks = {kind: detect(finite, kind, settings, power) for kind in kinds}
         level = _block_threshold(power, settings.p_fa)
-    return [samples.astype(complex, copy=True) if name == "none"
+    return [finite.astype(complex, copy=True) if name == "none"
             else clip(finite, masks[_KIND[name]], level) if name.endswith("clp")
             else blank(finite, masks[_KIND[name]])
             for name in names]

@@ -177,23 +177,6 @@ def mixture_weights(spec: NoiseSpec) -> Tuple[np.ndarray, np.ndarray]:
     raise TypeError("stable noise has no Gaussian mixture representation")
 
 
-def mixture_pdf(spec: NoiseSpec, x) -> np.ndarray:
-    """Evaluate the complex mixture density at x (scalar or array).
-
-    Each component contributes weight * exp(-|x|^2/sigma2) / (pi * sigma2),
-    the circularly-symmetric complex Gaussian density in the total-power
-    convention.
-
-    Raises:
-        TypeError: For stable specs (no closed-form density here).
-    """
-    weights, variances = mixture_weights(spec)
-    mag2 = np.abs(np.asarray(x)) ** 2
-    dens = np.tensordot(weights / (np.pi * variances),
-                        np.exp(-np.multiply.outer(1.0 / variances, mag2)), axes=1)
-    return dens if dens.ndim else float(dens)
-
-
 def complex_gaussian(rng: np.random.Generator, count: int, sigma2) -> np.ndarray:
     """Draw CN(0, sigma2) samples; sigma2 may be scalar or per-sample array."""
     scale = np.sqrt(np.asarray(sigma2, dtype=float) / 2.0)

@@ -32,52 +32,69 @@ _SQRT2 = math.sqrt(2.0)
 
 #: Fixed seed of the pilot phase pattern; part of the waveform definition.
 _PILOT_PHASE_SEED = 0xC04B
+_MAX_TRIES = 100        # channel draws before channel_generate gives up
+_ERASE_FLOOR = 1e-9     # |H| below which equalize erases a carrier
+
+#: Base pilot value.  The transmitted pilots are this value rotated by a
+#: fixed pseudo-random QPSK phase pattern (``OfdmConfig.pilot_symbols``),
+#: known to the receiver.  A constant value on an equally spaced pilot comb
+#: would concentrate a quarter of the symbol energy into a few periodic
+#: time-domain peaks, which any amplitude-based impulse detector would then
+#: blank; the phase pattern keeps the time-domain samples statistically flat.
+PILOT_VALUE = (1.0 + 1.0j) / _SQRT2
 
 
 @dataclass(frozen=True, eq=False)
 class OfdmConfig:
-    """Carrier partition and cyclic-prefix length of one OFDM symbol.
+    """Carrier grid and cyclic-prefix length of one OFDM symbol.
 
-    The data, pilot and null index sets must be disjoint and cover
-    0 .. n_fft-1 exactly.
+    The grid follows from the four ``ofdm.*`` keys.  Pilots sit on every
+    ``pilot_spacing``-th carrier across the whole band (equally spaced, so
+    pilot-based estimation covers the band edges), and the ``n_null`` guard
+    carriers are the lowest and highest non-pilot indices, split evenly;
+    the rest carry data.  The default is the 1024-carrier profile with
+    672 data / 256 pilot / 96 null carriers and a 64-sample prefix.
 
     Attributes:
         n_fft: DFT size N.
-        data_carriers: Sorted indices carrying payload symbols.
-        pilot_carriers: Sorted indices carrying pilot symbols.
-        null_carriers: Sorted indices left empty (guard band).
         cp_len: Cyclic prefix length in samples.
-        pilot_value: Base pilot modulation value.  The transmitted pilots
-            are this value rotated by a fixed pseudo-random QPSK phase
-            pattern (``pilot_symbols``), known to the receiver.  A constant
-            value on an equally spaced pilot comb would concentrate a
-            quarter of the symbol energy into a few periodic time-domain
-            peaks, which any amplitude-based impulse detector would then
-            blank; the phase pattern keeps the time-domain samples
-            statistically flat.
+        pilot_spacing: Carrier distance between pilots, from carrier 0.
+        n_null: Guard carriers, even.
     """
 
-    n_fft: int
-    data_carriers: np.ndarray
-    pilot_carriers: np.ndarray
-    null_carriers: np.ndarray
-    cp_len: int
-    pilot_value: complex = (1.0 + 1.0j) / _SQRT2
+    n_fft: int = 1024
+    cp_len: int = 64
+    pilot_spacing: int = 4
+    n_null: int = 96
 
     def __post_init__(self) -> None:
         if self.n_fft < 1 or self.cp_len < 0 or self.cp_len >= self.n_fft:
             raise ValueError("need n_fft >= 1 and 0 <= cp_len < n_fft")
-        if self.pilot_value == 0:
-            raise ValueError("pilot_value must be nonzero (pilots are divided out)")
-        for name in ("data_carriers", "pilot_carriers", "null_carriers"):
-            arr = np.asarray(getattr(self, name), dtype=np.intp)
-            object.__setattr__(self, name, arr)
-        merged = np.concatenate(
-            [self.data_carriers, self.pilot_carriers, self.null_carriers])
-        if (len(merged) != self.n_fft
-                or not np.array_equal(np.sort(merged), np.arange(self.n_fft))):
-            raise ValueError(
-                "data/pilot/null carriers must partition 0..n_fft-1")
+        if not 1 <= self.pilot_spacing < self.n_fft:
+            raise ValueError("need 1 <= pilot_spacing < n_fft: channel "
+                             "estimation interpolates between two pilots")
+        non_pilot = self.n_fft - len(self.pilot_carriers)
+        if self.n_null % 2 != 0 or not 0 <= self.n_null <= non_pilot:
+            raise ValueError("need an even n_null (split across both band "
+                             "edges) from 0 to the non-pilot carrier count")
+
+    @cached_property
+    def pilot_carriers(self) -> np.ndarray:
+        """Ascending indices carrying pilot symbols."""
+        return np.arange(0, self.n_fft, self.pilot_spacing)
+
+    @cached_property
+    def null_carriers(self) -> np.ndarray:
+        """Ascending indices left empty (guard band)."""
+        others = np.setdiff1d(np.arange(self.n_fft), self.pilot_carriers)
+        half = self.n_null // 2
+        return np.concatenate([others[:half], others[len(others) - half:]])
+
+    @cached_property
+    def data_carriers(self) -> np.ndarray:
+        """Ascending indices carrying payload symbols."""
+        return np.setdiff1d(np.arange(self.n_fft), np.concatenate(
+            [self.pilot_carriers, self.null_carriers]))
 
     @cached_property
     def active_carriers(self) -> np.ndarray:
@@ -88,22 +105,22 @@ class OfdmConfig:
     def pilot_symbols(self) -> np.ndarray:
         """Transmitted pilot values, one per pilot carrier in ascending order.
 
-        ``pilot_value`` rotated by a deterministic pseudo-random multiple
+        :data:`PILOT_VALUE` rotated by a deterministic pseudo-random multiple
         of 90 degrees per carrier; magnitude (hence pilot power) is
         untouched.  The pattern depends only on the pilot count, so
         transmitter and receiver always agree on it.
         """
         rng = np.random.default_rng(_PILOT_PHASE_SEED)
         quarter_turns = rng.integers(0, 4, size=len(self.pilot_carriers))
-        return self.pilot_value * 1j ** quarter_turns
+        return PILOT_VALUE * 1j ** quarter_turns
 
     @cached_property
     def _data_slots(self) -> np.ndarray:
-        return np.searchsorted(self.active_carriers, np.sort(self.data_carriers))
+        return np.searchsorted(self.active_carriers, self.data_carriers)
 
     @cached_property
     def _pilot_slots(self) -> np.ndarray:
-        return np.searchsorted(self.active_carriers, np.sort(self.pilot_carriers))
+        return np.searchsorted(self.active_carriers, self.pilot_carriers)
 
     @property
     def n_data(self) -> int:
@@ -119,29 +136,6 @@ class OfdmConfig:
         return self.n_fft + self.cp_len
 
 
-def make_config(n_fft: int = 1024, cp_len: int = 64, pilot_spacing: int = 4,
-                n_null: int = 96) -> OfdmConfig:
-    """Build the standard carrier partition.
-
-    Pilots sit on every ``pilot_spacing``-th carrier across the whole band
-    (equally spaced, so pilot-based estimation covers the band edges), and
-    the ``n_null`` guard carriers are the lowest and highest non-pilot
-    indices, split evenly.  The default is the 1024-carrier profile with
-    672 data / 256 pilot / 96 null carriers and a 64-sample prefix.
-    """
-    if n_null % 2 != 0:
-        raise ValueError("n_null must be even (split across both band edges)")
-    pilots = np.arange(0, n_fft, pilot_spacing)
-    others = np.setdiff1d(np.arange(n_fft), pilots)
-    if n_null > len(others):
-        raise ValueError("more null carriers requested than non-pilot carriers")
-    nulls = np.concatenate([others[:n_null // 2],
-                            others[len(others) - n_null // 2:]])
-    data = np.setdiff1d(others, nulls)
-    return OfdmConfig(n_fft=n_fft, data_carriers=data, pilot_carriers=pilots,
-                      null_carriers=np.sort(nulls), cp_len=cp_len)
-
-
 # ---------------------------------------------------------------------------
 # QPSK mapping and soft demapping
 
@@ -154,15 +148,6 @@ def qpsk_map(bits: np.ndarray) -> np.ndarray:
     b0 = bits[..., 0::2]
     b1 = bits[..., 1::2]
     return ((1.0 - 2.0 * b0) + 1j * (1.0 - 2.0 * b1)) / _SQRT2
-
-
-def qpsk_hard(symbols: np.ndarray) -> np.ndarray:
-    """Nearest-constellation-point bit decisions (inverse of qpsk_map)."""
-    symbols = np.asarray(symbols)
-    out = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.uint8)
-    out[..., 0::2] = symbols.real < 0
-    out[..., 1::2] = symbols.imag < 0
-    return out
 
 
 def qpsk_llr(symbols: np.ndarray, noise_var) -> np.ndarray:
@@ -224,18 +209,12 @@ def ofdm_modulate(cfg: OfdmConfig, active_values: np.ndarray) -> np.ndarray:
 
 
 def ofdm_demodulate(cfg: OfdmConfig, samples: np.ndarray) -> np.ndarray:
-    """Recover all N carrier values from one received symbol.
-
-    Accepts either the full transmitted symbol (CP stripped internally) or
-    the N-sample body when the receiver has already discarded the prefix.
-    """
+    """Recover all N carrier values from the N-sample body of a received
+    symbol, its cyclic prefix already discarded."""
     samples = np.asarray(samples)
-    if samples.shape[-1] == cfg.symbol_len:
-        samples = samples[..., cfg.cp_len:]
-    elif samples.shape[-1] != cfg.n_fft:
+    if samples.shape[-1] != cfg.n_fft:
         raise ValueError(
-            f"expected {cfg.symbol_len} or {cfg.n_fft} samples, "
-            f"got {samples.shape[-1]}")
+            f"expected {cfg.n_fft} samples, got {samples.shape[-1]}")
     return np.fft.fft(samples, axis=-1) / math.sqrt(cfg.n_fft)
 
 
@@ -279,7 +258,7 @@ class ChannelRealization:
 
 def channel_generate(rng: np.random.Generator,
                      profile: ChannelProfile = ChannelProfile(),
-                     max_delay: int = 64, max_tries: int = 100) -> ChannelRealization:
+                     max_delay: int = 64) -> ChannelRealization:
     """Draw a Rayleigh-faded sparse channel realization.
 
     Path delays start at zero with exponential inter-arrivals quantized to
@@ -291,9 +270,9 @@ def channel_generate(rng: np.random.Generator,
 
     Raises:
         RuntimeError: When no realization fits within ``max_delay`` after
-            ``max_tries`` attempts.
+            :data:`_MAX_TRIES` attempts.
     """
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         gaps = rng.exponential(profile.mean_arrival, profile.n_taps - 1)
         arrivals = np.concatenate([[0.0], np.cumsum(gaps)])
         delays = np.rint(arrivals).astype(np.intp)
@@ -304,7 +283,7 @@ def channel_generate(rng: np.random.Generator,
             break
     else:
         raise RuntimeError(
-            f"no channel fit within max_delay={max_delay} after {max_tries} tries; "
+            f"no channel fit within max_delay={max_delay} after {_MAX_TRIES} tries; "
             "loosen the profile or lengthen the prefix")
     powers = np.exp(-delays / profile.decay)
     powers = powers / powers.sum()
@@ -336,7 +315,7 @@ def estimate_channel(cfg: OfdmConfig, carriers: np.ndarray) -> np.ndarray:
     """Least-squares pilot estimates, linearly interpolated to all carriers.
 
     Args:
-        cfg: Carrier grid (pilot positions and value).
+        cfg: Carrier grid (pilot positions and symbols).
         carriers: Demodulated values on all N carriers, shape (..., n_fft).
 
     Returns:
@@ -347,10 +326,8 @@ def estimate_channel(cfg: OfdmConfig, carriers: np.ndarray) -> np.ndarray:
     carriers = np.asarray(carriers)
     if carriers.shape[-1] != cfg.n_fft:
         raise ValueError(f"expected {cfg.n_fft} carrier values")
-    pilots = np.sort(cfg.pilot_carriers).astype(float)
-    if len(pilots) < 2:
-        raise ValueError("need at least two pilots to interpolate")
-    ls = carriers[..., np.sort(cfg.pilot_carriers)] / cfg.pilot_symbols
+    pilots = cfg.pilot_carriers.astype(float)
+    ls = carriers[..., cfg.pilot_carriers] / cfg.pilot_symbols
     k = np.arange(cfg.n_fft, dtype=float)
     # Interval index for every carrier, clipped so edge carriers reuse the
     # first/last segment slope (linear extrapolation).
@@ -359,20 +336,20 @@ def estimate_channel(cfg: OfdmConfig, carriers: np.ndarray) -> np.ndarray:
     return ls[..., seg] * (1.0 - t) + ls[..., seg + 1] * t
 
 
-def equalize(values: np.ndarray, response: np.ndarray,
-             floor: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def equalize(values: np.ndarray,
+             response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing equalization with per-carrier noise bookkeeping.
 
     Returns:
         (equalized, noise_scale): ``equalized = values / response`` and
         ``noise_scale = 1/|response|^2``, the factor by which the flat noise
         variance must be multiplied for LLR computation.  Carriers whose
-        ``|response|`` falls below ``floor`` are erased: equalized value 0
+        ``|response|`` falls below :data:`_ERASE_FLOOR` are erased: equalized value 0
         and infinite noise scale (downstream LLRs become exactly 0).
     """
     values = np.asarray(values)
     response = np.broadcast_to(np.asarray(response), values.shape)
-    ok = np.abs(response) >= floor
+    ok = np.abs(response) >= _ERASE_FLOOR
     equalized = np.zeros_like(values, dtype=complex)
     np.divide(values, response, out=equalized, where=ok)
     noise_scale = np.full(values.shape, np.inf)

@@ -288,7 +288,8 @@ def test_out_of_range_p_fa_names_key_at_load(cfg_file, tmp_path, capsys, p_fa):
     assert not (tmp_path / "c").exists()
 
 
-@pytest.mark.parametrize("key, value", [
+#: (key, value) rows, or (key, value, other overrides the check needs).
+_OUT_OF_RANGE = [
     ("noise.epsilon", "1.5"),
     ("noise.epsilon", "-0.01"),
     ("train.epsilon", "0.05,1.01"),
@@ -318,12 +319,29 @@ def test_out_of_range_p_fa_names_key_at_load(cfg_file, tmp_path, capsys, p_fa):
     ("sweep.min_errors", "-1"),
     ("sweep.max_bits", "0"),
     ("sweep.max_bits", "-5"),
-])
+    ("noise.a", "0"),
+    ("noise.a", "inf"),
+    ("noise.gamma", "0"),           # used to die with ZeroDivisionError
+    ("noise.j_trunc", "0"),
+    ("noise.j_trunc", "2"),         # 2 terms hold 0.9988 of the mass at a = 0.05
+    ("noise.j_trunc", "172"),       # 171! overflows a float
+    ("noise.alpha", "2.5"),
+    ("noise.beta", "2"),
+    ("noise.scale", "0"),
+    ("noise.burst_len", "4", {"noise.model": "mca"}),  # bursts are BG only
+]
+
+
+@pytest.mark.parametrize("key, value, context",
+                         [(*row, {})[:3] for row in _OUT_OF_RANGE],
+                         ids=[f"{row[0]}-{row[1]}" for row in _OUT_OF_RANGE])
 def test_out_of_range_value_names_key_at_load(cfg_file, tmp_path, capsys,
-                                              key, value):
+                                              key, value, context):
     # Each of these used to pass the load: some failed later with a message
     # that names no key, the others ran without a word.
-    rc = run_cli("gen-dataset", "--config", cfg_file, "--set", f"{key}={value}",
+    sets = [arg for k, v in {**context, key: value}.items()
+            for arg in ("--set", f"{k}={v}")]
+    rc = run_cli("gen-dataset", "--config", cfg_file, *sets,
                  "--out", tmp_path / "d.csv")
     assert rc == 2
     assert f"config key {key!r}" in capsys.readouterr().err
@@ -355,6 +373,16 @@ def test_range_limits_are_inclusive(cfg_file):
         "ofdm.pilot_spacing": "127", "ofdm.n_null": "0",
         "interleaver.tx_enabled": "false"})
     assert cfg.ofdm.pilot_carriers.tolist() == [0, 127]
+    # The noise edges: a one-term Class A series (at noise.a = 0.001 it
+    # holds 0.9990 of the mass), the most terms a float allows, stable
+    # alpha 2 and beta +-1, the least positive gamma and scale, and bursts
+    # under BG noise.
+    config_mod.load_config(cfg_file, {
+        "noise.model": "mca", "noise.a": "0.001", "noise.j_trunc": "1",
+        "noise.gamma": "5e-324", "noise.alpha": "2", "noise.beta": "-1",
+        "noise.scale": "5e-324"})
+    config_mod.load_config(cfg_file, {
+        "noise.j_trunc": "171", "noise.beta": "1", "noise.burst_len": "4"})
 
 
 @pytest.mark.parametrize("value", ["0", "-64"])

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from inofdm.coding import (
     CODE_RATE,
-    DEFAULT_CODE,
+    N_STATES,
+    N_TAIL,
     STEP_CHUNK,
-    ConvCode,
     InterleaverSpec,
     _tables,
     conv_encode,
@@ -38,21 +38,21 @@ def reference_encode(bits, generators=(0o171, 0o133), k=7):
     return np.array(out, dtype=np.uint8)
 
 
-def reference_conv_encode(bits, code=DEFAULT_CODE):
+def reference_conv_encode(bits):
     """Step-at-a-time table encoder, vectorised across rows only (oracle).
 
     The previous library encoder: one branch-table lookup per trellis step,
     the state shifting in one input bit per step.
     """
     bits = np.asarray(bits)
-    out_pair = _tables(code)
+    out_pair = _tables()
     lead = bits.shape[:-1]
     m = bits.shape[-1]
     flat = bits.reshape(-1, m).astype(np.intp)
-    n_steps = m + code.n_tail
+    n_steps = m + N_TAIL
     coded = np.empty((flat.shape[0], 2 * n_steps), dtype=np.uint8)
     state = np.zeros(flat.shape[0], dtype=np.intp)
-    mask = code.n_states - 1
+    mask = N_STATES - 1
     for t in range(n_steps):
         u = flat[:, t] if t < m else np.zeros_like(state)
         pair = out_pair[state, u]
@@ -114,7 +114,7 @@ def reference_viterbi(llrs, generators=(0o171, 0o133), k=7):
 
 #: Message lengths whose trellis is one step short of, at, and one step
 #: past one and two decoder step chunks, and the link's 672 steps.
-CHUNK_EDGE_MESSAGES = [steps - DEFAULT_CODE.n_tail for steps in (
+CHUNK_EDGE_MESSAGES = [steps - N_TAIL for steps in (
     STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1,
     2 * STEP_CHUNK - 1, 2 * STEP_CHUNK, 2 * STEP_CHUNK + 1, 672)]
 
@@ -167,7 +167,7 @@ def test_encoder_matches_step_at_a_time_reference(lead, m, seed):
     coded = conv_encode(bits)
     assert coded.dtype == np.uint8
     assert coded.tobytes() == reference_conv_encode(bits).tobytes()
-    assert coded.shape == lead + (2 * (m + DEFAULT_CODE.n_tail),)
+    assert coded.shape == lead + (2 * (m + N_TAIL),)
 
 
 def test_encoder_matches_reference_on_a_link_batch():
@@ -175,19 +175,11 @@ def test_encoder_matches_reference_on_a_link_batch():
     assert conv_encode(bits).tobytes() == reference_conv_encode(bits).tobytes()
 
 
-@pytest.mark.parametrize("code", [ConvCode(3, (0o7, 0o5)), ConvCode(5, (0o23, 0o35)),
-                                  ConvCode(7, (0o1, 0o100))])
-def test_encoder_matches_reference_for_other_codes(code):
-    bits = np.random.default_rng(8).integers(0, 2, size=(4, 50), dtype=np.uint8)
-    np.testing.assert_array_equal(conv_encode(bits, code),
-                                  reference_conv_encode(bits, code))
-
-
 def test_encode_output_length_and_rate():
     coded = conv_encode(np.zeros(100, dtype=np.uint8))
     assert coded.shape == (2 * (100 + 6),)
-    assert DEFAULT_CODE.n_tail == 6
-    assert DEFAULT_CODE.n_states == 64
+    assert N_TAIL == 6
+    assert N_STATES == 64
     assert CODE_RATE == 0.5
 
 
@@ -204,13 +196,6 @@ def test_encode_rejects_bad_input():
         conv_encode(np.array([0, 1, 2]))
     with pytest.raises(ValueError):
         conv_encode(np.array([], dtype=np.uint8))
-
-
-def test_code_parameter_validation():
-    with pytest.raises(ValueError):
-        ConvCode(constraint_length=1)
-    with pytest.raises(ValueError):
-        ConvCode(generators=(0o171, 0o400))  # does not fit K=7
 
 
 def llrs_for(coded, flip=()):
@@ -284,7 +269,7 @@ class TestViterbi:
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_decoder_bit_for_bit(self, lead, m, kind, seed):
         llrs = random_llrs(np.random.default_rng(seed),
-                           lead + (2 * (m + DEFAULT_CODE.n_tail),), kind)
+                           lead + (2 * (m + N_TAIL),), kind)
         with np.errstate(invalid="ignore"):
             decoded = viterbi_decode_soft(llrs)
             expected = reference_viterbi(llrs)
@@ -297,7 +282,7 @@ class TestViterbi:
                                       "nonfinite", "early_nan"])
     def test_matches_reference_across_step_chunks(self, m, kind):
         llrs = random_llrs(np.random.default_rng(m),
-                           (5, 2 * (m + DEFAULT_CODE.n_tail)), kind)
+                           (5, 2 * (m + N_TAIL)), kind)
         with np.errstate(invalid="ignore"):
             decoded = viterbi_decode_soft(llrs)
             expected = reference_viterbi(llrs)
@@ -318,7 +303,7 @@ class TestViterbi:
 
     def test_stacked_rows_decode_as_each_row_alone(self):
         rng = np.random.default_rng(7)
-        n = 2 * (60 + DEFAULT_CODE.n_tail)
+        n = 2 * (60 + N_TAIL)
         llrs = np.concatenate([random_llrs(rng, (8, n), kind) for kind in
                                ("gaussian", "integer", "zero", "nonfinite")])
         with np.errstate(invalid="ignore"):

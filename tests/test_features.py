@@ -17,11 +17,40 @@ from inofdm.features import (
     apply_normalizer,
     extract_features,
     fit_normalizer,
-    median_deviation,
     read_dataset,
-    road,
     write_dataset,
 )
+
+
+def road(window):
+    """Rank-ordered absolute difference of a single window (scalar oracle).
+
+    Args:
+        window: Complex (or real) samples of odd length 2n+1; the center
+            element is the sample under test.
+
+    Returns:
+        Sum of the n smallest of the 2n absolute differences between the
+        center and its neighbors.
+    """
+    window = np.asarray(window)
+    if window.ndim != 1 or len(window) % 2 == 0 or len(window) < 3:
+        raise ValueError("window must be 1-D with odd length >= 3")
+    n = len(window) // 2
+    diffs = np.abs(np.delete(window - window[n], n))
+    return float(np.sort(diffs)[:n].sum())
+
+
+def median_deviation(window):
+    """Signed deviation of the center magnitude from the window median
+    (scalar oracle): |center| - median(|window|); the third feature is its
+    absolute value.
+    """
+    window = np.asarray(window)
+    if window.ndim != 1 or len(window) % 2 == 0 or len(window) < 3:
+        raise ValueError("window must be 1-D with odd length >= 3")
+    mags = np.abs(window)
+    return float(mags[len(window) // 2] - np.median(mags))
 
 
 def brute_road(window):

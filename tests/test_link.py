@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,27 @@ def test_noiseless_chain_with_time_interleaver_decodes_exactly():
     assert np.array_equal(
         link.receive_batch(cfg, batch, cleaned(cfg, batch, "none")),
         batch.tx_bits)
+
+
+@pytest.mark.parametrize("chain", [
+    {},
+    {"interleaver.time_enabled": True, "interleaver.time_rows": 8,
+     "interleaver.time_cols": 18},
+], ids=["plain", "time_interleaved"])
+def test_none_policy_takes_an_inf_sample_through_the_receiver(chain):
+    # The pass-through used to keep the inf, and the receiver's DFT warned
+    # 'invalid value encountered in fft'.
+    cfg = small_config(**chain, **{"noise.epsilon": 0})
+    batch = link.simulate_batch(cfg, 300.0, 8, np.random.default_rng(5))
+    stream = link.receiver_stream(cfg, batch).copy()
+    stream[0, 40] = np.inf
+    settings = DetectorSettings(cfg.p_fa, None, cfg.half_width)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = mitigate(stream, ("none",), settings)[0]
+        decoded = viterbi_decode_soft(link.receive_llrs(cfg, batch, out))
+    assert out[0, 40] == 0 and np.isfinite(out).all()
+    assert np.array_equal(decoded[1:], batch.tx_bits[1:])
 
 
 def test_noiseless_chain_with_perfect_csi():

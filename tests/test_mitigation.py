@@ -542,17 +542,16 @@ def test_mitigate_estimates_block_power_once(monkeypatch, name, calls):
 
 
 def test_detecting_policies_zero_non_finite_samples():
-    # One inf in row 0, one nan in row 1: only the pass-through policy may
-    # return them.
+    # One inf in row 0, one nan in row 1: no policy returns them, the
+    # pass-through included, so none reaches the receiver's DFT.
     blocks = rayleigh_block(44, 2048).reshape(2, 1024)
     blocks[0, 100] = np.inf
     blocks[1, 700] = np.nan
     outs = mitigate(blocks, POLICY_NAMES, shipped_settings())
     for name, out in zip(POLICY_NAMES, outs):
         bad = (~np.isfinite(out)).sum(axis=1).tolist()
-        assert bad == ([1, 1] if name == "none" else [0, 0]), name
-        if name != "none":
-            assert out[0, 100] == 0 and out[1, 700] == 0
+        assert bad == [0, 0], name
+        assert out[0, 100] == 0 and out[1, 700] == 0
 
 
 _NON_FINITE = (np.inf, -np.inf, np.nan)

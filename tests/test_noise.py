@@ -14,13 +14,29 @@ from inofdm.noise_models import (
     SASNoise,
     complex_gaussian,
     mca_component,
-    mixture_pdf,
     mixture_weights,
     sample_bg,
     sample_mca,
     sample_noise,
     sample_sas,
 )
+
+
+def mixture_pdf(spec, x):
+    """Evaluate the complex mixture density at x (scalar or array).
+
+    Each component contributes weight * exp(-|x|^2/sigma2) / (pi * sigma2),
+    the circularly-symmetric complex Gaussian density in the total-power
+    convention.
+
+    Raises:
+        TypeError: For stable specs (no closed-form density here).
+    """
+    weights, variances = mixture_weights(spec)
+    mag2 = np.abs(np.asarray(x)) ** 2
+    dens = np.tensordot(weights / (np.pi * variances),
+                        np.exp(-np.multiply.outer(1.0 / variances, mag2)), axes=1)
+    return dens if dens.ndim else float(dens)
 
 # 0.75-quantile of a unit-scale symmetric stable law with alpha = 1.5,
 # obtained by Gil-Pelaez inversion of exp(-|t|^1.5) at 30-digit precision

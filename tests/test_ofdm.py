@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from inofdm.ofdm import (
+    PILOT_VALUE,
     assemble_active,
     ChannelProfile,
     ChannelRealization,
@@ -17,10 +18,8 @@ from inofdm.ofdm import (
     channel_generate,
     equalize,
     estimate_channel,
-    make_config,
     ofdm_demodulate,
     ofdm_modulate,
-    qpsk_hard,
     qpsk_llr,
     qpsk_map,
 )
@@ -28,9 +27,18 @@ from inofdm.ofdm import (
 SQRT2 = math.sqrt(2.0)
 
 
+def qpsk_hard(symbols):
+    """Nearest-constellation-point bit decisions (inverse of qpsk_map)."""
+    symbols = np.asarray(symbols)
+    out = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.uint8)
+    out[..., 0::2] = symbols.real < 0
+    out[..., 1::2] = symbols.imag < 0
+    return out
+
+
 @pytest.fixture(scope="module")
 def cfg():
-    return make_config()
+    return OfdmConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -117,27 +125,18 @@ def test_nulls_sit_at_band_edges(cfg):
 
 def test_invalid_partition_rejected():
     with pytest.raises(ValueError):
-        OfdmConfig(n_fft=8, data_carriers=np.arange(4),
-                   pilot_carriers=np.arange(4), null_carriers=np.array([], int),
-                   cp_len=2)  # overlapping sets
+        OfdmConfig(n_null=95)  # odd guard count
     with pytest.raises(ValueError):
-        make_config(n_null=95)  # odd guard count
-
-
-def test_zero_pilot_value_rejected():
-    with pytest.raises(ValueError):
-        OfdmConfig(n_fft=8, data_carriers=np.arange(4, 8),
-                   pilot_carriers=np.arange(0, 4),
-                   null_carriers=np.array([], int), cp_len=2, pilot_value=0.0)
+        OfdmConfig(n_fft=8, cp_len=2, pilot_spacing=2, n_null=6)  # 4 non-pilots
 
 
 def test_pilot_symbols_fixed_pattern(cfg):
     """The pilot phases are deterministic and magnitude-preserving."""
-    other = make_config()
+    other = OfdmConfig()
     np.testing.assert_array_equal(cfg.pilot_symbols, other.pilot_symbols)
     np.testing.assert_allclose(np.abs(cfg.pilot_symbols), 1.0, atol=1e-15)
     # Every pilot is the base value rotated by a multiple of 90 degrees.
-    turns = cfg.pilot_symbols / cfg.pilot_value
+    turns = cfg.pilot_symbols / PILOT_VALUE
     np.testing.assert_allclose(np.abs(turns.real) + np.abs(turns.imag), 1.0,
                                atol=1e-12)
     # The pattern actually varies (it is not the constant comb).
@@ -169,24 +168,17 @@ def test_modulate_rejects_wrong_width(cfg):
         ofdm_modulate(cfg, np.zeros(cfg.n_active - 1))
     with pytest.raises(ValueError):
         ofdm_demodulate(cfg, np.zeros(777))
+    with pytest.raises(ValueError):
+        ofdm_demodulate(cfg, np.zeros(cfg.symbol_len))  # prefix not removed
 
 
 def test_roundtrip_identity(cfg):
     rng = np.random.default_rng(0)
     active = qpsk_map(rng.integers(0, 2, size=(8, 2 * cfg.n_active)))
-    carriers = ofdm_demodulate(cfg, ofdm_modulate(cfg, active))
+    carriers = ofdm_demodulate(cfg, ofdm_modulate(cfg, active)[..., cfg.cp_len:])
     np.testing.assert_allclose(carriers[..., cfg.active_carriers], active,
                                rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(carriers[..., cfg.null_carriers], 0, atol=1e-12)
-
-
-def test_demodulate_accepts_body_or_full_symbol(cfg):
-    rng = np.random.default_rng(1)
-    active = qpsk_map(rng.integers(0, 2, size=2 * cfg.n_active))
-    tx = ofdm_modulate(cfg, active)
-    np.testing.assert_allclose(ofdm_demodulate(cfg, tx),
-                               ofdm_demodulate(cfg, tx[cfg.cp_len:]),
-                               atol=1e-12)
 
 
 def test_cyclic_prefix_copies_tail(cfg):
@@ -317,7 +309,7 @@ def test_frequency_domain_model_matches_time_convolution(cfg):
     tx = ofdm_modulate(cfg, active)
     ch = channel_generate(rng, max_delay=cfg.cp_len)
     rx = channel_apply(tx, ch)
-    got = ofdm_demodulate(cfg, rx)
+    got = ofdm_demodulate(cfg, rx[cfg.cp_len:])
     grid = np.zeros(cfg.n_fft, dtype=complex)
     grid[cfg.active_carriers] = active
     expected = ch.frequency_response(cfg.n_fft) * grid
@@ -332,7 +324,7 @@ def test_flat_channel_estimated_exactly(cfg):
     rng = np.random.default_rng(13)
     active = assemble_active(cfg, qpsk_map(rng.integers(0, 2, size=2 * cfg.n_data)))
     c = 0.7 - 1.3j
-    carriers = ofdm_demodulate(cfg, c * ofdm_modulate(cfg, active))
+    carriers = ofdm_demodulate(cfg, c * ofdm_modulate(cfg, active)[cfg.cp_len:])
     est = estimate_channel(cfg, carriers)
     np.testing.assert_allclose(est, c, atol=1e-12)
 
@@ -342,7 +334,8 @@ def test_two_tap_channel_estimate_tracks_exact_response(cfg):
     active = assemble_active(cfg, qpsk_map(rng.integers(0, 2, size=2 * cfg.n_data)))
     ch = ChannelRealization(gains=np.array([0.8 + 0.1j, 0.3 - 0.4j]),
                             delays=np.array([0, 7]))
-    carriers = ofdm_demodulate(cfg, channel_apply(ofdm_modulate(cfg, active), ch))
+    rx = channel_apply(ofdm_modulate(cfg, active), ch)
+    carriers = ofdm_demodulate(cfg, rx[cfg.cp_len:])
     est = estimate_channel(cfg, carriers)
     exact = ch.frequency_response(cfg.n_fft)
     err = np.abs(est - exact)[cfg.data_carriers]
@@ -360,11 +353,11 @@ def test_estimation_error_grows_with_pilot_spacing():
         delays=np.array([0, 11, 23]))
     errors = {}
     for spacing in (4, 16):
-        cfg_s = make_config(pilot_spacing=spacing)
+        cfg_s = OfdmConfig(pilot_spacing=spacing)
         active = assemble_active(
             cfg_s, qpsk_map(rng.integers(0, 2, size=2 * cfg_s.n_data)))
         rx = channel_apply(ofdm_modulate(cfg_s, active), ch)
-        est = estimate_channel(cfg_s, ofdm_demodulate(cfg_s, rx))
+        est = estimate_channel(cfg_s, ofdm_demodulate(cfg_s, rx[cfg_s.cp_len:]))
         exact = ch.frequency_response(cfg_s.n_fft)
         errors[spacing] = np.abs(est - exact)[cfg_s.data_carriers].max()
     assert errors[4] < errors[16]
@@ -405,9 +398,9 @@ def test_equalize_inverts_random_channel(cfg):
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_roundtrip_property_random_payloads(seed):
-    cfg = make_config(n_fft=64, cp_len=8, pilot_spacing=4, n_null=8)
+    cfg = OfdmConfig(n_fft=64, cp_len=8, pilot_spacing=4, n_null=8)
     rng = np.random.default_rng(seed)
     active = qpsk_map(rng.integers(0, 2, size=2 * cfg.n_active))
-    carriers = ofdm_demodulate(cfg, ofdm_modulate(cfg, active))
+    carriers = ofdm_demodulate(cfg, ofdm_modulate(cfg, active)[cfg.cp_len:])
     np.testing.assert_allclose(carriers[cfg.active_carriers], active,
                                atol=1e-12)
