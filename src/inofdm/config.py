@@ -8,7 +8,8 @@ values fail with a diagnostic naming the key.  The effective configuration
 stamped into every emitted artifact so outputs can be traced to their exact
 settings.
 
-Schema reference (types: f float, i int, b bool, s string, f* float list):
+Schema reference (types: f float, i int, b bool, s string, f* float list;
+every f and f* value must be finite, nan and +-inf fail at load):
 
 ofdm.n_fft i, ofdm.cp_len i, ofdm.pilot_spacing i (1 <= s < n_fft),
 ofdm.n_null i (even, >= 0, leaving n_tail + 1 or more data carriers)
@@ -17,11 +18,11 @@ channel.decay f (> 0)
 noise.model s (bg|mca|sas)
 noise.epsilon f (in [0, 1]), noise.sir_db f, noise.burst_len i (>= 1, and
     1 unless noise.model = bg)                                   (bg)
-noise.a f (finite, > 0), noise.gamma f (finite, > 0),
+noise.a f (> 0), noise.gamma f (> 0),
 noise.j_trunc i (in [1, 171], the retained terms carrying MCA_MIN_MASS of
     the Poisson mass for noise.a)                                (mca)
 noise.alpha f (in (0, 2]), noise.beta f (in [-1, 1]),
-noise.scale f (finite, > 0), noise.loc f                         (sas)
+noise.scale f (> 0), noise.loc f                                 (sas)
     Every noise key is checked whichever noise.model is chosen.
 grid.ebn0_db f*
 sweep.policies s (comma list of none|bln|clp|dnn|dnn-clp)
@@ -35,7 +36,7 @@ interleaver.time_enabled b, interleaver.time_rows i, interleaver.time_cols i
 detector.half_width i (n >= 1 with 2n+1 <= ofdm.n_fft)
 train.ebn0_db f*, train.sir_db f*, train.epsilon f* (each in [0, 1]),
 train.symbols i, train.epochs i (>= 1), train.batch_size i (>= 1),
-train.eta f, train.lam f
+train.eta f (> 0), train.lam f (>= 0)
 model.path s
 seed i
 """
@@ -163,6 +164,9 @@ def resolve_config(file_values: Optional[Mapping[str, str]] = None,
             typed[key] = caster(value)
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from exc
+        items = typed[key] if caster is _parse_floats else (typed[key],)
+        if caster in (float, _parse_floats) and not all(map(math.isfinite, items)):
+            raise ValueError(f"config key {key!r}: must be finite, got {value}")
     model = typed["noise.model"]
     if model not in _NOISE_MODELS:
         raise ValueError(f"config key 'noise.model': must be one of {_NOISE_MODELS}")
@@ -191,17 +195,19 @@ def resolve_config(file_values: Optional[Mapping[str, str]] = None,
         ("noise.epsilon", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
         ("noise.burst_len", lambda v: v == 1 or (v > 1 and model == "bg"),
          "at least 1, and 1 unless noise.model = bg"),
-        ("noise.a", lambda v: 0.0 < v < math.inf, "above 0 and finite"),
-        ("noise.gamma", lambda v: 0.0 < v < math.inf, "above 0 and finite"),
+        ("noise.a", lambda v: v > 0.0, "above 0"),
+        ("noise.gamma", lambda v: v > 0.0, "above 0"),
         # Term j of the Class A series divides by j!, which no float holds
         # past j = 170.
         ("noise.j_trunc", lambda v: 1 <= v <= 171, "at least 1 and at most 171"),
         ("noise.alpha", lambda v: 0.0 < v <= 2.0, "in (0, 2]"),
         ("noise.beta", lambda v: -1.0 <= v <= 1.0, "in [-1, 1]"),
-        ("noise.scale", lambda v: 0.0 < v < math.inf, "above 0 and finite"),
+        ("noise.scale", lambda v: v > 0.0, "above 0"),
         ("train.epsilon", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
         ("train.epochs", lambda v: v >= 1, "at least 1"),
         ("train.batch_size", lambda v: v >= 1, "at least 1"),
+        ("train.eta", lambda v: v > 0.0, "above 0"),
+        ("train.lam", lambda v: v >= 0.0, "at least 0"),
         ("detector.half_width", lambda v: 1 <= v and 2 * v + 1 <= n_fft,
          f"at least 1, with a window 2n+1 no longer than ofdm.n_fft = {n_fft}"),
     ) + tuple((f"interleaver.{which}_{side}", lambda v: v >= 1, "at least 1")

@@ -16,12 +16,12 @@ rewrites the flagged samples.
 * ``dnn``/``dnn-clp`` - the trained classifier of :mod:`inofdm.dnn` over
   the window features of :mod:`inofdm.features`, with blanking/clipping.
 
-Blanking zeroes the flagged samples.  Clipping clamps them to the same
-per-block Neyman-Pearson level at the configured false-alarm rate, phase
-preserved; flagged samples already at or below it pass through.  Every
-policy, ``none`` included, first zeroes non-finite samples, so ``inf`` and
-``nan`` never reach the power estimate, the features, the output or the
-receiver's DFT after it.
+One level, :func:`_level` at the configured false-alarm rate, serves the
+threshold detector and the clip ceiling; both suppressors live in
+:func:`mitigate`.  Blanking zeroes the flagged samples; clipping clamps
+those above the level onto it, phase preserved.  Every policy, ``none``
+included, first zeroes non-finite samples, so ``inf`` and ``nan`` never
+reach the power estimate, the features, the output or the receiver's DFT.
 
 All sample functions accept leading batch dimensions (blocks on the last
 axis).
@@ -37,20 +37,6 @@ import numpy as np
 
 from . import dnn
 from .features import DEFAULT_HALF_WIDTH, extract_features
-
-
-def np_threshold(sigma2_clean: float, p_fa: float) -> float:
-    """Detection level with false-alarm rate p_fa on a clean Rayleigh block.
-
-    For impulse-free samples with total complex power sigma2_clean,
-    P(|r| > T) = exp(-T^2 / sigma2_clean); solving for T gives
-    sqrt(-sigma2_clean * ln p_fa).
-    """
-    if not 0.0 < p_fa < 1.0:
-        raise ValueError(f"p_fa must be in (0, 1), got {p_fa}")
-    if np.any(np.asarray(sigma2_clean) <= 0.0):
-        raise ValueError("sigma2_clean must be strictly positive")
-    return np.sqrt(-sigma2_clean * math.log(p_fa))
 
 
 def estimate_clean_power(samples: np.ndarray) -> np.ndarray:
@@ -75,45 +61,6 @@ def estimate_clean_power(samples: np.ndarray) -> np.ndarray:
     return np.maximum(power, np.finfo(float).tiny)
 
 
-def threshold_detect(samples: np.ndarray, threshold) -> np.ndarray:
-    """Flag samples whose magnitude exceeds the threshold (broadcastable)."""
-    if np.any(np.asarray(threshold) <= 0.0):
-        raise ValueError("threshold must be strictly positive")
-    samples = np.asarray(samples)
-    return (np.abs(samples) > threshold).astype(np.uint8)
-
-
-def blank(samples: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Zero the flagged samples, leave the rest untouched."""
-    samples = np.asarray(samples)
-    mask = np.asarray(mask)
-    if mask.shape != samples.shape:
-        raise ValueError("mask shape must match samples")
-    return np.where(mask == 1, 0.0 + 0.0j, samples)
-
-
-def clip(samples: np.ndarray, mask: np.ndarray, level) -> np.ndarray:
-    """Clamp flagged samples to magnitude ``level``, preserving phase.
-
-    ``level`` is a scalar or broadcasts against ``samples``, e.g. one level
-    per block with shape (..., 1).  Flagged samples with |r| <= level are
-    returned unchanged (clamp semantics); unflagged samples always pass
-    through.
-    """
-    if np.any(np.asarray(level) <= 0.0):
-        raise ValueError("clip level must be strictly positive")
-    samples = np.asarray(samples)
-    mask = np.asarray(mask)
-    if mask.shape != samples.shape:
-        raise ValueError("mask shape must match samples")
-    level = np.broadcast_to(level, samples.shape)
-    mags = np.abs(samples)
-    shrink = (mask == 1) & (mags > level)
-    out = samples.astype(complex, copy=True)
-    out[shrink] *= level[shrink] / mags[shrink]
-    return out
-
-
 #: The mitigation policies, each a detector kind and a suppression.
 POLICY_NAMES = ("none", "bln", "clp", "dnn", "dnn-clp")
 _KIND = {"bln": "threshold", "clp": "threshold", "dnn": "dnn", "dnn-clp": "dnn"}
@@ -136,10 +83,15 @@ class DetectorSettings:
             raise ValueError("half_width must be at least 1")
 
 
-def _block_threshold(power: np.ndarray, p_fa: float) -> np.ndarray:
-    """Per-block Neyman-Pearson level at p_fa from the per-block power,
-    shape (..., 1)."""
-    return np.asarray(np_threshold(power, p_fa))[..., None]
+def _level(power: np.ndarray, p_fa: float) -> np.ndarray:
+    """Per-block Neyman-Pearson level at false-alarm rate p_fa, shape (..., 1).
+
+    For impulse-free samples with total complex power sigma2,
+    P(|r| > T) = exp(-T^2 / sigma2); solving for T gives
+    sqrt(-sigma2 ln p_fa).  ``power`` is the blocks'
+    :func:`estimate_clean_power`.
+    """
+    return np.sqrt(-power * math.log(p_fa))[..., None]
 
 
 def detector_features(samples: np.ndarray, half_width: int,
@@ -164,7 +116,7 @@ def detect(samples: np.ndarray, kind: str, settings: DetectorSettings,
     the 0/1 impulse mask.  ``power`` is the blocks'
     :func:`estimate_clean_power`."""
     if kind == "threshold":
-        return threshold_detect(samples, _block_threshold(power, settings.p_fa))
+        return (np.abs(samples) > _level(power, settings.p_fa)).astype(np.uint8)
     if kind == "dnn":
         if settings.params is None:
             raise ValueError("the network detector needs trained model parameters")
@@ -184,7 +136,6 @@ def mitigate(samples: np.ndarray, names: Sequence[str],
     Returns:
         One cleaned complex array per name, in order.
     """
-    samples = np.asarray(samples)
     for name in names:
         if name not in POLICY_NAMES:
             raise ValueError(f"unknown policy {name!r}")
@@ -192,9 +143,20 @@ def mitigate(samples: np.ndarray, names: Sequence[str],
     kinds = sorted({_KIND[name] for name in names if name != "none"})
     if kinds:
         power = estimate_clean_power(finite)
-        masks = {kind: detect(finite, kind, settings, power) for kind in kinds}
-        level = _block_threshold(power, settings.p_fa)
-    return [finite.astype(complex, copy=True) if name == "none"
-            else clip(finite, masks[_KIND[name]], level) if name.endswith("clp")
-            else blank(finite, masks[_KIND[name]])
-            for name in names]
+        masks = {kind: detect(finite, kind, settings, power).astype(bool)
+                 for kind in kinds}
+    if any(name.endswith("clp") for name in names):
+        level = np.broadcast_to(_level(power, settings.p_fa), finite.shape)
+        mags = np.abs(finite)
+        over = mags > level
+    outs = []
+    for name in names:
+        if name in ("bln", "dnn"):
+            outs.append(np.where(masks[_KIND[name]], 0.0 + 0.0j, finite))
+            continue
+        out = finite.astype(complex, copy=True)
+        if name != "none":
+            shrink = masks[_KIND[name]] & over
+            out[shrink] *= level[shrink] / mags[shrink]
+        outs.append(out)
+    return outs

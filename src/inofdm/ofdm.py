@@ -269,7 +269,7 @@ def channel_generate(rng: np.random.Generator,
     ``max_delay`` (the CP length) are redrawn.
 
     Raises:
-        RuntimeError: When no realization fits within ``max_delay`` after
+        ValueError: When no realization fits within ``max_delay`` after
             :data:`_MAX_TRIES` attempts.
     """
     for _ in range(_MAX_TRIES):
@@ -282,9 +282,10 @@ def channel_generate(rng: np.random.Generator,
         if delays[-1] < max_delay:
             break
     else:
-        raise RuntimeError(
-            f"no channel fit within max_delay={max_delay} after {_MAX_TRIES} tries; "
-            "loosen the profile or lengthen the prefix")
+        raise ValueError(
+            f"no channel of channel.n_taps = {profile.n_taps} taps at "
+            f"channel.mean_arrival = {profile.mean_arrival} fits inside "
+            f"ofdm.cp_len = {max_delay} samples in {_MAX_TRIES} draws")
     powers = np.exp(-delays / profile.decay)
     powers = powers / powers.sum()
     gains = complex_gaussian(rng, profile.n_taps, powers)

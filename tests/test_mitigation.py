@@ -18,17 +18,33 @@ from inofdm.features import FeatureNormalizer, extract_features
 from inofdm.mitigation import (
     POLICY_NAMES,
     DetectorSettings,
-    blank,
-    clip,
     detect,
     detector_features,
     estimate_clean_power,
     mitigate,
-    np_threshold,
-    threshold_detect,
 )
 
 MODEL_PATH = Path(__file__).resolve().parent.parent / "models" / "detector.txt"
+
+
+def np_level(sigma2, p_fa):
+    """Neyman-Pearson level with false-alarm rate p_fa on a clean Rayleigh
+    block: for impulse-free samples of total complex power sigma2,
+    P(|r| > T) = exp(-T^2 / sigma2), so T = sqrt(-sigma2 ln p_fa)."""
+    return np.sqrt(-np.asarray(sigma2) * math.log(p_fa))
+
+
+def threshold_mask(samples, p_fa, power):
+    """The threshold detector's mask at a given per-block power."""
+    return detect(samples, "threshold", DetectorSettings(p_fa), power)
+
+
+def constant_envelope_block(seed, n):
+    """Unit-magnitude samples (+-1, +-1j): every |r| is exactly 1, so the
+    per-block power is exactly 1 / ln 2 while fewer than half the samples
+    are changed."""
+    phases = np.random.default_rng(seed).integers(0, 4, n)
+    return (1j ** phases).astype(complex)
 
 
 def detect_alone(samples, kind, settings):
@@ -78,27 +94,23 @@ def magnitude_gate_params(knee=3.5, gain=10.0):
 
 def test_np_threshold_closed_form_anchor():
     # p_fa = e^-1 and unit power: T = sqrt(-ln e^-1) = 1.
-    assert np_threshold(1.0, math.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
+    mask = threshold_mask(np.array([1.0 - 1e-9, 1.0 + 1e-9]), math.exp(-1.0),
+                          np.float64(1.0))
+    assert np.array_equal(mask, [0, 1])
 
 
 def test_np_threshold_grows_as_p_fa_shrinks():
-    t = [np_threshold(2.0, p) for p in (0.2, 0.1, 0.05, 0.025)]
-    assert np.all(np.diff(t) > 0)
+    samples = rayleigh_block(0, 20_000, 2.0)
+    flagged = [int(threshold_mask(samples, p, np.float64(2.0)).sum())
+               for p in (0.2, 0.1, 0.05, 0.025)]
+    assert np.all(np.diff(flagged) < 0)
 
 
 def test_np_threshold_scales_with_sqrt_power():
-    assert np_threshold(4.0, 0.01) == pytest.approx(2.0 * np_threshold(1.0, 0.01),
-                                                    rel=1e-12)
-
-
-def test_np_threshold_rejects_bad_arguments():
-    for p_fa in (0.0, 1.0, -0.1, 1.7):
-        with pytest.raises(ValueError):
-            np_threshold(1.0, p_fa)
-    with pytest.raises(ValueError):
-        np_threshold(0.0, 0.01)
-    with pytest.raises(ValueError):
-        np_threshold(-1.0, 0.01)
+    # Four times the power doubles the level exactly.
+    samples = rayleigh_block(1, 4096)
+    assert np.array_equal(threshold_mask(2.0 * samples, 0.01, np.float64(4.0)),
+                          threshold_mask(samples, 0.01, np.float64(1.0)))
 
 
 @pytest.mark.parametrize("p_fa", [0.05, 0.01])
@@ -107,7 +119,7 @@ def test_false_alarm_rate_calibrated_within_10_percent(p_fa):
     # 10% relative of the requested p_fa (binomial SE at 1e6 is ~1% of 0.01).
     sigma2 = 2.3
     samples = rayleigh_block(0, 1_000_000, sigma2)
-    mask = threshold_detect(samples, np_threshold(sigma2, p_fa))
+    mask = threshold_mask(samples, p_fa, np.float64(sigma2))
     assert np.mean(mask) == pytest.approx(p_fa, rel=0.10)
 
 
@@ -159,34 +171,30 @@ def test_estimate_clean_power_rejects_empty():
 def test_threshold_detect_agrees_with_direct_comparison():
     rng = np.random.default_rng(6)
     samples = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-    mask = threshold_detect(samples, 1.3)
+    mask = threshold_mask(samples, 0.1, np.float64(0.8))
     assert mask.dtype == np.uint8
-    assert np.array_equal(mask, (np.abs(samples) > 1.3).astype(np.uint8))
+    assert np.array_equal(mask,
+                          (np.abs(samples) > np_level(0.8, 0.1)).astype(np.uint8))
 
 
 def test_threshold_detect_extremes():
     samples = rayleigh_block(7, 100)
-    assert not np.any(threshold_detect(samples, np.inf))
-    assert np.all(threshold_detect(samples, 1e-300) == 1)
+    assert not np.any(threshold_mask(samples, 0.01, np.float64(np.inf)))
+    assert np.all(threshold_mask(samples, 0.01, np.finfo(float).tiny) == 1)
 
 
 def test_threshold_detect_is_strict_inequality():
     # A sample sitting exactly at the level is not flagged.
-    assert np.array_equal(threshold_detect(np.array([2.0, 2.0 + 1e-9]), 2.0),
-                          [0, 1])
+    level = np_level(2.0, 0.01)
+    samples = np.array([level, level * (1 + 1e-9)])
+    assert np.array_equal(threshold_mask(samples, 0.01, np.float64(2.0)), [0, 1])
 
 
 def test_threshold_detect_broadcasts_per_block_levels():
-    blocks = np.ones((2, 4)) * np.array([[1.0], [10.0]])
-    mask = threshold_detect(blocks, np.array([[5.0], [5.0]]))
-    assert np.array_equal(mask, [[0, 0, 0, 0], [1, 1, 1, 1]])
-
-
-def test_threshold_detect_rejects_nonpositive_levels():
-    with pytest.raises(ValueError):
-        threshold_detect(np.ones(4), 0.0)
-    with pytest.raises(ValueError):
-        threshold_detect(np.ones(4), -1.0)
+    blocks = np.full((2, 4), 3.0)
+    power = np.array([1.0, 25.0]) / -math.log(0.01)   # levels 1 and 5
+    mask = threshold_mask(blocks, 0.01, power)
+    assert np.array_equal(mask, [[1, 1, 1, 1], [0, 0, 0, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -194,75 +202,77 @@ def test_threshold_detect_rejects_nonpositive_levels():
 
 
 def test_blank_zero_mask_is_identity():
-    samples = rayleigh_block(8, 64)
-    out = blank(samples, np.zeros(64, dtype=np.uint8))
+    # Every |r| is 1, under the level sqrt(ln 100 / ln 2): nothing is blanked.
+    samples = constant_envelope_block(8, 64)
+    out = mitigate_one(samples, "bln", DetectorSettings(0.01))
     assert np.array_equal(out, samples)
 
 
 def test_blank_full_mask_zeroes_everything():
-    assert np.all(blank(rayleigh_block(9, 64), np.ones(64, dtype=np.uint8)) == 0)
+    # A gate below every normalized magnitude flags every sample.
+    settings = DetectorSettings(0.01, magnitude_gate_params(knee=-1.0), 5)
+    assert np.all(mitigate_one(rayleigh_block(9, 64), "dnn", settings) == 0)
 
 
 def test_blank_mixed_mask_matches_elementwise_formula():
+    settings = DetectorSettings(0.01, magnitude_gate_params(), 5)
     samples = rayleigh_block(10, 200)
-    mask = (np.random.default_rng(11).random(200) < 0.3).astype(np.uint8)
-    out = blank(samples, mask)
+    samples[np.random.default_rng(11).random(200) < 0.3] *= 25.0
+    mask = detect_alone(samples, "dnn", settings)
+    assert 0 < mask.sum() < 200
+    out = mitigate_one(samples, "dnn", settings)
     assert np.array_equal(out, np.where(mask == 1, 0, samples))
 
 
-def test_blank_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        blank(np.ones(5), np.ones(4, dtype=np.uint8))
-
-
 def test_clip_clamps_magnitude_and_keeps_phase():
-    sample = 10.0 * np.exp(1j * 0.7)
-    out = clip(np.array([sample]), np.array([1], dtype=np.uint8), 2.0)
-    assert abs(out[0]) == pytest.approx(2.0, rel=1e-12)
-    assert np.angle(out[0]) == pytest.approx(0.7, rel=1e-12)
+    samples = constant_envelope_block(12, 64)
+    samples[5] = 10.0 * np.exp(1j * 0.7)
+    out = mitigate_one(samples, "clp", DetectorSettings(0.01))
+    assert abs(out[5]) == pytest.approx(np_level(1.0 / math.log(2.0), 0.01),
+                                        rel=1e-12)
+    assert np.angle(out[5]) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_clip_leaves_small_flagged_samples_alone():
-    # Clamp semantics: flagged but already under the ceiling -> unchanged.
-    samples = np.array([0.5 + 0.5j, 0.0 + 0.0j])
-    out = clip(samples, np.array([1, 1], dtype=np.uint8), 2.0)
-    assert np.array_equal(out, samples)
+    # Clamp semantics: every sample flagged, all at |r| = 1, under the
+    # ceiling sqrt(ln 100 / ln 2) -> unchanged.
+    settings = DetectorSettings(0.01, magnitude_gate_params(knee=-1.0), 5)
+    samples = constant_envelope_block(13, 64)
+    assert np.all(detect_alone(samples, "dnn", settings) == 1)
+    assert np.array_equal(mitigate_one(samples, "dnn-clp", settings), samples)
 
 
 def test_clip_never_touches_unflagged_samples():
-    samples = np.array([100.0 + 0j, 50.0j])
-    out = clip(samples, np.zeros(2, dtype=np.uint8), 1.0)
-    assert np.array_equal(out, samples)
-
-
-def test_clip_validation():
-    with pytest.raises(ValueError):
-        clip(np.ones(3), np.ones(3, dtype=np.uint8), 0.0)
-    with pytest.raises(ValueError):
-        clip(np.ones(3), np.ones(2, dtype=np.uint8), 1.0)
+    # A gate no magnitude reaches flags nothing, however far over the level.
+    settings = DetectorSettings(0.01, magnitude_gate_params(knee=1e6), 5)
+    samples = rayleigh_block(14, 256)
+    samples[::10] *= 100.0
+    assert np.array_equal(mitigate_one(samples, "dnn-clp", settings), samples)
 
 
 def test_clip_broadcasts_a_per_block_level():
-    blocks = np.array([[3.0, 0.5j, -4.0], [3.0, 0.5j, -4.0]])
-    mask = np.ones(blocks.shape, dtype=np.uint8)
-    out = clip(blocks, mask, np.array([[1.0], [3.5]]))
-    np.testing.assert_allclose(out, [[1.0, 0.5j, -1.0], [3.0, 0.5j, -3.5]],
-                               rtol=1e-12)
-    # The same level in every block equals the scalar level.
-    assert np.array_equal(clip(blocks, mask, np.full((2, 1), 2.0)),
-                          clip(blocks, mask, 2.0))
-    with pytest.raises(ValueError):
-        clip(blocks, mask, np.array([[1.0], [0.0]]))
+    # Each block clamps onto its own level: 3.5 times the gain, 3.5 times
+    # the ceiling.
+    block = constant_envelope_block(15, 256)
+    block[::16] = 10.0 * np.exp(1j * np.arange(16))
+    out = mitigate_one(np.stack([block, 3.5 * block]), "clp",
+                       DetectorSettings(0.01))
+    level = np_level(1.0 / math.log(2.0), 0.01)
+    np.testing.assert_allclose(np.abs(out[:, ::16]),
+                               [[level] * 16, [3.5 * level] * 16], rtol=1e-12)
+    assert np.array_equal(out[0, 1::16], block[1::16])
 
 
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_blank_is_idempotent(seed):
+    # On a constant-envelope block the blanked zeros, a minority, leave the
+    # median and so the level alone: a second pass changes nothing.
     rng = np.random.default_rng(seed)
-    samples = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    mask = (rng.random(32) < 0.4).astype(np.uint8)
-    once = blank(samples, mask)
-    assert np.array_equal(blank(once, mask), once)
+    samples = constant_envelope_block(seed, 32)
+    samples[rng.random(32) < 0.3] *= rng.uniform(5.0, 50.0)
+    once = mitigate_one(samples, "bln", DetectorSettings(0.01))
+    assert np.array_equal(mitigate_one(once, "bln", DetectorSettings(0.01)), once)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +294,8 @@ def test_in_situ_route_estimates_power_per_block():
     blocks = np.stack([rayleigh_block(14, 2048, 1.0),
                        rayleigh_block(15, 2048, 25.0)])
     mask = detect_alone(blocks, "threshold", DetectorSettings(p_fa=0.01))
-    levels = np_threshold(estimate_clean_power(blocks), 0.01)
-    expected = threshold_detect(blocks, levels[:, None])
+    levels = np_level(estimate_clean_power(blocks), 0.01)
+    expected = (np.abs(blocks) > levels[:, None]).astype(np.uint8)
     assert np.array_equal(mask, expected)
     # Both blocks get flagged near p_fa despite the 25x power gap.
     assert np.mean(mask[0]) == pytest.approx(0.01, abs=0.01)
@@ -384,22 +394,15 @@ def test_mitigate_blank_equals_manual_composition():
     samples = rayleigh_block(25, 2048)
     settings = DetectorSettings(p_fa=0.05)
     out = mitigate_one(samples, "bln", settings)
-    assert np.array_equal(
-        out, blank(samples, detect_alone(samples, "threshold", settings)))
+    mask = detect_alone(samples, "threshold", settings)
+    assert np.array_equal(out, np.where(mask == 1, 0, samples))
 
 
 def test_threshold_blank_policy_is_classic_blanking():
     samples = rayleigh_block(26, 2048, sigma2=4.0)
     out = mitigate_one(samples, "bln", DetectorSettings(p_fa=0.01))
-    level = np_threshold(float(estimate_clean_power(samples)), 0.01)
+    level = np_level(float(estimate_clean_power(samples)), 0.01)
     assert np.array_equal(out, np.where(np.abs(samples) > level, 0, samples))
-
-
-def test_clip_with_tiny_level_approaches_blanking():
-    samples = rayleigh_block(27, 1024)
-    mask = detect_alone(samples, "threshold", DetectorSettings(p_fa=0.05))
-    np.testing.assert_allclose(clip(samples, mask, 1e-12),
-                               blank(samples, mask), atol=2e-12)
 
 
 def test_clip_policy_lands_flagged_samples_on_detection_level():
@@ -410,7 +413,7 @@ def test_clip_policy_lands_flagged_samples_on_detection_level():
     settings = DetectorSettings(p_fa=0.01)
     out = mitigate_one(samples, "clp", settings)
     flagged = detect_alone(samples, "threshold", settings) == 1
-    level = np_threshold(float(estimate_clean_power(samples)), 0.01)
+    level = np_level(float(estimate_clean_power(samples)), 0.01)
     assert flagged.sum() >= 21
     np.testing.assert_allclose(np.abs(out[flagged]), level, rtol=1e-12)
     assert np.array_equal(out[~flagged], samples[~flagged])
@@ -420,7 +423,7 @@ def test_clip_default_level_tracks_per_block_estimate():
     blocks = np.stack([rayleigh_block(28, 2048, 1.0),
                        rayleigh_block(29, 2048, 100.0)])
     out = mitigate_one(blocks, "clp", DetectorSettings(p_fa=0.01))
-    levels = np_threshold(estimate_clean_power(blocks), 0.01)
+    levels = np_level(estimate_clean_power(blocks), 0.01)
     for b in range(2):
         assert np.max(np.abs(out[b])) <= levels[b] * (1 + 1e-12)
 
@@ -432,7 +435,7 @@ def test_clip_default_level_with_network_detector():
     block = rayleigh_block(30, 4096)
     block[::100] = 50.0
     out = mitigate_one(block, "dnn-clp", settings)
-    ceiling = np_threshold(float(estimate_clean_power(block)), 0.02)
+    ceiling = np_level(float(estimate_clean_power(block)), 0.02)
     np.testing.assert_allclose(np.abs(out[::100]), ceiling, rtol=1e-12)
 
 
@@ -507,32 +510,36 @@ def test_mitigate_estimates_block_power_once(monkeypatch, name, calls):
     blocks = np.stack([rayleigh_block(42, 512), 30.0 * rayleigh_block(43, 512)])
     blocks[:, ::37] *= 25.0
     power = estimate_clean_power(blocks)
-    level = np_threshold(power, settings.p_fa)[:, None]
-    masks = {"threshold": (np.abs(blocks) > level).astype(np.uint8),
+    level = np_level(power, settings.p_fa)[:, None]
+    mags = np.abs(blocks)
+    masks = {"threshold": mags > level,
              "dnn": dnn.classify(settings.params, extract_features(
-                 blocks / np.sqrt(power)[:, None], n=settings.half_width))}
+                 blocks / np.sqrt(power)[:, None], n=settings.half_width)) == 1}
+
+    def clamped(mask):
+        return np.where(mask & (mags > level), blocks * (level / mags), blocks)
+
     expected = {"none": blocks,
-                "bln": blank(blocks, masks["threshold"]),
-                "clp": clip(blocks, masks["threshold"], level),
-                "dnn": blank(blocks, masks["dnn"]),
-                "dnn-clp": clip(blocks, masks["dnn"], level)}
-    seen = {"power": 0, "threshold": 0, "network": 0}
+                "bln": np.where(masks["threshold"], 0, blocks),
+                "clp": clamped(masks["threshold"]),
+                "dnn": np.where(masks["dnn"], 0, blocks),
+                "dnn-clp": clamped(masks["dnn"])}
+    seen = {"power": 0, "threshold": 0, "dnn": 0}
 
-    def counting(key, fn):
-        def wrapped(*args, **kwargs):
-            seen[key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def counting_power(samples):
+        seen["power"] += 1
+        return estimate_clean_power(samples)
 
-    monkeypatch.setattr("inofdm.mitigation.estimate_clean_power",
-                        counting("power", estimate_clean_power))
-    monkeypatch.setattr("inofdm.mitigation.threshold_detect",
-                        counting("threshold", threshold_detect))
-    monkeypatch.setattr("inofdm.dnn.classify", counting("network", dnn.classify))
+    def counting_detect(samples, kind, *args):
+        seen[kind] += 1
+        return detect(samples, kind, *args)
+
+    monkeypatch.setattr("inofdm.mitigation.estimate_clean_power", counting_power)
+    monkeypatch.setattr("inofdm.mitigation.detect", counting_detect)
     outs = mitigate(blocks, names, settings)
     assert seen == {"power": calls,
                     "threshold": int(bool({"bln", "clp"} & set(names))),
-                    "network": int(bool({"dnn", "dnn-clp"} & set(names)))}
+                    "dnn": int(bool({"dnn", "dnn-clp"} & set(names)))}
     for n, out in zip(names, outs):
         assert np.array_equal(out, expected[n]), n
 

@@ -290,7 +290,7 @@ def test_channel_total_power_normalized():
 
 def test_channel_generate_gives_up_when_spread_cannot_fit():
     rng = np.random.default_rng(11)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="channel.mean_arrival"):
         channel_generate(rng, ChannelProfile(n_taps=10, mean_arrival=1000.0),
                          max_delay=64)
 
