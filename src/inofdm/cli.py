@@ -82,13 +82,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         extra["noise.model"] = args.noise
     if args.epsilon is not None:
         extra["noise.epsilon"] = str(args.epsilon)
+    if args.ebn0 is not None:
+        extra["grid.ebn0_db"] = str(args.ebn0)
+    if args.symbols < 1:
+        raise ValueError(f"--symbols must be at least 1, got {args.symbols}")
     cfg = _load(args, extra)
     params = None
     if args.detector == "dnn":
         if args.model is None:
             raise ValueError("--model is required for the network detector")
         params = dnn.load_model(args.model)
-    ebn0 = args.ebn0 if args.ebn0 is not None else cfg.ebn0_db[0]
+    ebn0 = cfg.ebn0_db[0]
     report = link.detection_rates(cfg, args.detector, ebn0,
                                   n_symbols=args.symbols, params=params)
     print(f"detector={args.detector} ebn0_db={ebn0:g}")
@@ -180,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None,
                    help="shortcut for --set noise.epsilon=...")
     p.add_argument("--ebn0", type=float, default=None,
-                   help="operating point in dB (default: first grid point)")
+                   help="shortcut for --set grid.ebn0_db=...")
     p.add_argument("--symbols", type=int, default=200,
                    help="OFDM symbols to score")
     p.set_defaults(func=_cmd_evaluate)

@@ -9,14 +9,15 @@ stamped into every emitted artifact so outputs can be traced to their exact
 settings.
 
 Schema reference (types: f float, i int, b bool, s string, f* float list;
-every f and f* value must be finite, nan and +-inf fail at load):
+every f and f* value must be finite, nan and +-inf fail at load; every
+value of a key in dB must lie in [-300, 300]):
 
 ofdm.n_fft i, ofdm.cp_len i, ofdm.pilot_spacing i (1 <= s < n_fft),
 ofdm.n_null i (even, >= 0, leaving n_tail + 1 or more data carriers)
 channel.n_taps i (1 <= n_taps <= ofdm.cp_len), channel.mean_arrival f (> 0),
 channel.decay f (> 0)
 noise.model s (bg|mca|sas)
-noise.epsilon f (in [0, 1]), noise.sir_db f, noise.burst_len i (>= 1, and
+noise.epsilon f (in [0, 1]), noise.sir_db f (dB), noise.burst_len i (>= 1, and
     1 unless noise.model = bg)                                   (bg)
 noise.a f (> 0), noise.gamma f (> 0),
 noise.j_trunc i (in [1, 171], the retained terms carrying MCA_MIN_MASS of
@@ -24,7 +25,7 @@ noise.j_trunc i (in [1, 171], the retained terms carrying MCA_MIN_MASS of
 noise.alpha f (in (0, 2]), noise.beta f (in [-1, 1]),
 noise.scale f (> 0), noise.loc f                                 (sas)
     Every noise key is checked whichever noise.model is chosen.
-grid.ebn0_db f*
+grid.ebn0_db f* (dB)
 sweep.policies s (comma list of none|bln|clp|dnn|dnn-clp)
 sweep.p_fa f (in (0, 1): the false-alarm rate of the per-block
     Neyman-Pearson level that sets the blanking level and every clip ceiling)
@@ -34,7 +35,8 @@ interleaver.time_enabled b, interleaver.time_rows i, interleaver.time_cols i
     (rows and cols >= 1; an enabled grid holds at least the 2 * n_data coded
     bits (tx) or the n_fft + cp_len samples (time) of one symbol)
 detector.half_width i (n >= 1 with 2n+1 <= ofdm.n_fft)
-train.ebn0_db f*, train.sir_db f*, train.epsilon f* (each in [0, 1]),
+train.ebn0_db f* (dB), train.sir_db f* (dB), train.epsilon f* (each in
+    [0, 1]),
 train.symbols i, train.epochs i (>= 1), train.batch_size i (>= 1),
 train.eta f (> 0), train.lam f (>= 0)
 model.path s
@@ -211,7 +213,11 @@ def resolve_config(file_values: Optional[Mapping[str, str]] = None,
         ("detector.half_width", lambda v: 1 <= v and 2 * v + 1 <= n_fft,
          f"at least 1, with a window 2n+1 no longer than ofdm.n_fft = {n_fft}"),
     ) + tuple((f"interleaver.{which}_{side}", lambda v: v >= 1, "at least 1")
-              for which in ("tx", "time") for side in ("rows", "cols"))
+              for which in ("tx", "time") for side in ("rows", "cols")) + tuple(
+        # 10 ** (dB / 10) must neither overflow nor underflow to 0.
+        (key, lambda v: -300.0 <= v <= 300.0, "in [-300, 300] dB")
+        for key in ("grid.ebn0_db", "noise.sir_db", "train.ebn0_db",
+                    "train.sir_db"))
     for key, in_range, rule in ranges:
         value = typed[key]
         for item in value if isinstance(value, tuple) else (value,):

@@ -24,12 +24,14 @@ Power conventions (unit-energy QPSK on every active carrier):
   gamma * sqrt(N0)/2); at alpha=2 the run is statistically identical to the
   AWGN-only run.  Stable noise has no finite power, so no SIR applies.
 
-With a receiver-side time interleaver the noise is inserted in interleaved
-sample order: the channel output is interleaved, noise added, and the
-receiver mitigates on that stream *before* deinterleaving and prefix
-removal (the prefix positions are only restored by the deinterleaver).
-Detection therefore faces the raw bursts while the decoder sees dispersed
-residuals.
+A simulated batch holds the samples the detector sees.  In the plain
+chain those are the N-sample symbol bodies: the receiver strips the prefix
+before detection.  With a receiver-side time interleaver the noise is
+inserted in interleaved sample order: the channel output is interleaved,
+noise added, and the receiver mitigates on that full stream *before*
+deinterleaving and prefix removal (the prefix positions are only restored
+by the deinterleaver).  Detection therefore faces the raw bursts while the
+decoder sees dispersed residuals.
 
 Monte Carlo sweeps draw every trial batch from a seed derived from
 (master seed, stream tag, grid point, batch index), so all policies at a
@@ -95,8 +97,12 @@ def noise_spec_for(cfg: ExperimentConfig, ebn0_db: float) -> NoiseSpec:
     if cfg.noise_model == "bg":
         if cfg.epsilon == 0.0:
             return BGNoise(epsilon=0.0, sigma_w2=n0, sigma_i2=1.0)
-        sir = 10.0 ** (cfg.sir_db / 10.0)
-        sigma_i2 = signal_power(cfg) / (cfg.epsilon * sir)
+        share = cfg.epsilon * 10.0 ** (cfg.sir_db / 10.0)
+        sigma_i2 = signal_power(cfg) / share if share > 0.0 else math.inf
+        if sigma_i2 == math.inf:
+            raise ValueError(
+                f"impulse probability {cfg.epsilon:g} at SIR {cfg.sir_db:g} dB "
+                "gives an infinite impulse power")
         return BGNoise(epsilon=cfg.epsilon, sigma_w2=n0, sigma_i2=sigma_i2)
     if cfg.noise_model == "mca":
         sigma_n2 = n0 * (1.0 + cfg.mca_gamma) / cfg.mca_gamma
@@ -124,17 +130,16 @@ def gaussian_equivalent_power(spec: NoiseSpec) -> float:
 class SymbolBatch:
     """Everything shared by all policies when decoding one trial batch.
 
-    ``rx``/``clean``/``labels`` live in the stream domain: natural sample
-    order normally, interleaved order when a time interleaver is active.
+    ``rx`` and ``labels`` are what the detector sees: the (B, N) symbol
+    bodies in the plain chain, the full (B, N+cp) interleaved stream when a
+    time interleaver is active.  ``labels`` is None for stable noise.
     """
 
     tx_bits: np.ndarray                  # (B, m) message bits
-    rx: np.ndarray                       # (B, N+cp) received stream
-    clean: np.ndarray                    # (B, N+cp) noise-free stream
-    labels: Optional[np.ndarray]         # (B, N+cp) impulse indicators
+    rx: np.ndarray                       # received samples
+    labels: Optional[np.ndarray]         # impulse indicators, aligned with rx
     channels: List[ChannelRealization]
     spec: NoiseSpec
-    ebn0_db: float
 
 
 def simulate_batch(cfg: ExperimentConfig, ebn0_db: float, count: int,
@@ -142,7 +147,9 @@ def simulate_batch(cfg: ExperimentConfig, ebn0_db: float, count: int,
     """Draw ``count`` OFDM symbols through transmitter, channel and noise.
 
     Draw order is fixed (bits, then per-symbol channels, then noise) so a
-    seeded generator reproduces the batch exactly.
+    seeded generator reproduces the batch exactly.  Returns the samples the
+    detector sees (see :class:`SymbolBatch`); noise is drawn for the prefix
+    samples in both chains, so both consume the same draws.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -157,59 +164,35 @@ def simulate_batch(cfg: ExperimentConfig, ebn0_db: float, count: int,
                 for _ in range(count)]
     faded = np.stack([channel_apply(tx_time[i], channels[i])
                       for i in range(count)])
-    stream = faded
-    if cfg.time_interleaver is not None:
-        stream = interleave(faded, cfg.time_interleaver)
     spec = noise_spec_for(cfg, ebn0_db)
     block = sample_noise(spec, count * cfg.ofdm.symbol_len, rng,
                          burst_len=cfg.burst_len)
-    noise = block.samples.reshape(count, cfg.ofdm.symbol_len)
-    labels = None
-    if block.labels is not None:
-        labels = block.labels.reshape(count, cfg.ofdm.symbol_len)
-    return SymbolBatch(tx_bits=bits, rx=stream + noise, clean=stream,
-                       labels=labels, channels=channels, spec=spec,
-                       ebn0_db=ebn0_db)
-
-
-def receiver_stream(cfg: ExperimentConfig, batch: SymbolBatch) -> np.ndarray:
-    """The samples the detector actually sees (mitigation input).
-
-    Plain chain: the N-sample symbol bodies (prefix discarded before
-    detection).  Time-interleaved chain: the full interleaved stream.
-    """
+    noise = block.samples.reshape(count, -1)
+    labels = None if block.labels is None else block.labels.reshape(count, -1)
     if cfg.time_interleaver is not None:
-        return batch.rx
-    return batch.rx[:, cfg.ofdm.cp_len:]
-
-
-def receiver_stream_labels(cfg: ExperimentConfig,
-                           batch: SymbolBatch) -> Optional[np.ndarray]:
-    """Impulse labels aligned with :func:`receiver_stream`."""
-    if batch.labels is None:
-        return None
-    if cfg.time_interleaver is not None:
-        return batch.labels
-    return batch.labels[:, cfg.ofdm.cp_len:]
+        return SymbolBatch(bits, interleave(faded, cfg.time_interleaver) + noise,
+                           labels, channels, spec)
+    body = slice(cfg.ofdm.cp_len, None)
+    return SymbolBatch(bits, faded[:, body] + noise[:, body],
+                       None if labels is None else labels[:, body],
+                       channels, spec)
 
 
 def receive_llrs(cfg: ExperimentConfig, batch: SymbolBatch,
                  cleaned: np.ndarray) -> np.ndarray:
     """Receiver front end after mitigation, up to the decoder.
 
-    ``cleaned`` is one policy's :func:`mitigate` output for the batch's
-    :func:`receiver_stream`.  DFT, channel estimate, equalization, per-bit
-    LLRs and the bit deinterleaver.
+    ``cleaned`` is one policy's :func:`mitigate` output for ``batch.rx``:
+    the symbol bodies, or with a time interleaver the interleaved stream,
+    which is deinterleaved and stripped of its prefix here.  Then DFT,
+    channel estimate, equalization, per-bit LLRs and the bit deinterleaver.
 
     Returns:
         Coded-bit LLRs in encoder order, shape (B, 2 * n_data).
     """
     if cfg.time_interleaver is not None:
-        natural = deinterleave(cleaned, cfg.time_interleaver)
-        body = natural[:, cfg.ofdm.cp_len:]
-    else:
-        body = cleaned
-    carriers = ofdm_demodulate(cfg.ofdm, body)
+        cleaned = deinterleave(cleaned, cfg.time_interleaver)[:, cfg.ofdm.cp_len:]
+    carriers = ofdm_demodulate(cfg.ofdm, cleaned)
     if cfg.perfect_csi:
         response = np.stack([ch.frequency_response(cfg.ofdm.n_fft)
                              for ch in batch.channels])
@@ -238,12 +221,6 @@ def receive_batch(cfg: ExperimentConfig, batch: SymbolBatch,
 # Labeled dataset generation
 
 
-def training_grid(cfg: ExperimentConfig) -> List[Tuple[float, float, float]]:
-    """The (Eb/N0, SIR, epsilon) combinations the training set spans."""
-    return list(itertools.product(cfg.train_ebn0_db, cfg.train_sir_db,
-                                  cfg.train_epsilon))
-
-
 def generate_dataset(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Features and labels for training, over the mixture-noise grid.
 
@@ -256,7 +233,8 @@ def generate_dataset(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
     Returns:
         (features, labels) with ``cfg.train_symbols * n_fft`` rows.
     """
-    combos = training_grid(cfg)
+    combos = list(itertools.product(cfg.train_ebn0_db, cfg.train_sir_db,
+                                    cfg.train_epsilon))
     if cfg.train_symbols < len(combos):
         raise ValueError("train.symbols must cover the grid at least once")
     base = cfg.train_symbols // len(combos)
@@ -270,11 +248,10 @@ def generate_dataset(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(np.random.SeedSequence(
             (cfg.seed, _TAG_DATASET, ci)))
         batch = simulate_batch(point_cfg, ebn0, count, rng)
-        body = receiver_stream(point_cfg, batch)
-        feats = detector_features(body, cfg.half_width,
-                                  estimate_clean_power(body))
+        feats = detector_features(batch.rx, cfg.half_width,
+                                  estimate_clean_power(batch.rx))
         feature_parts.append(feats.reshape(-1, 3))
-        label_parts.append(receiver_stream_labels(point_cfg, batch).reshape(-1))
+        label_parts.append(batch.labels.reshape(-1))
     features = np.concatenate(feature_parts, axis=0)
     labels = np.concatenate(label_parts, axis=0)
     order = np.random.default_rng(np.random.SeedSequence(
@@ -320,7 +297,7 @@ def _sweep_batch(cfg: ExperimentConfig, ebn0: float, point_idx: int,
         (cfg.seed, _TAG_SWEEP, point_idx, batch_idx)))
     batch = simulate_batch(cfg, ebn0, BATCH_SYMBOLS, rng)
     return batch.tx_bits, [receive_llrs(cfg, batch, cleaned) for cleaned in
-                           mitigate(receiver_stream(cfg, batch), names, settings)]
+                           mitigate(batch.rx, names, settings)]
 
 
 def _usable_cpus() -> int:
@@ -539,25 +516,19 @@ def detection_rates(cfg: ExperimentConfig, kind: str, ebn0_db: float,
     """
     settings = DetectorSettings(cfg.p_fa, params, cfg.half_width)
     hits = misses = false_alarms = clean = 0
-    done = 0
-    batch_idx = 0
-    while done < n_symbols:
+    for batch_idx, done in enumerate(range(0, n_symbols, BATCH_SYMBOLS)):
         count = min(BATCH_SYMBOLS, n_symbols - done)
         rng = np.random.default_rng(np.random.SeedSequence(
             (cfg.seed, _TAG_EVAL, batch_idx)))
         batch = simulate_batch(cfg, ebn0_db, count, rng)
-        labels = receiver_stream_labels(cfg, batch)
-        if labels is None:
+        if batch.labels is None:
             raise ValueError("stable noise has no impulse labels to score against")
-        stream = receiver_stream(cfg, batch)
-        mask = detect(stream, kind, settings, estimate_clean_power(stream))
-        impulse = labels == 1
+        mask = detect(batch.rx, kind, settings, estimate_clean_power(batch.rx))
+        impulse = batch.labels == 1
         hits += int(np.sum(mask[impulse] == 1))
         misses += int(np.sum(mask[impulse] == 0))
         false_alarms += int(np.sum(mask[~impulse] == 1))
         clean += int(np.sum(~impulse))
-        done += count
-        batch_idx += 1
     n_impulse = hits + misses
     detection = hits / n_impulse if n_impulse else float("nan")
     return DetectionReport(

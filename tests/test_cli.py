@@ -157,6 +157,25 @@ def test_evaluate_output_is_deterministic(cfg_file, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("value", ["nan", "4000", "inf"])
+def test_evaluate_ebn0_is_checked_as_a_grid_point(cfg_file, capsys, value):
+    # nan printed a detection rate of 0 and exited 0, 4000 died with
+    # OverflowError, and inf failed naming no argument.
+    rc = run_cli("evaluate", "--config", cfg_file, "--detector", "threshold",
+                 "--ebn0", value, "--symbols", 4)
+    assert rc == 2
+    assert "config key 'grid.ebn0_db'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_evaluate_symbols_below_one_names_the_flag(cfg_file, capsys, value):
+    # These printed nan rates and exited 0.
+    rc = run_cli("evaluate", "--config", cfg_file, "--detector", "threshold",
+                 "--symbols", value)
+    assert rc == 2
+    assert "--symbols" in capsys.readouterr().err
+
+
 def test_evaluate_dnn_without_model_fails_with_diagnostic(cfg_file, capsys):
     rc = run_cli("evaluate", "--config", cfg_file, "--detector", "dnn",
                  "--symbols", 4)
@@ -354,6 +373,13 @@ _OUT_OF_RANGE = [
     ("train.lam", "nan"),
     ("train.eta", "0"),             # these failed in TrainConfig, naming
     ("train.lam", "-1"),            # no key
+    # dB keys: 10 ** (dB / 10) overflowed or reached 0.
+    ("grid.ebn0_db", "4000"),       # ber-sweep died with OverflowError
+    ("grid.ebn0_db", "-4000"),      # ber-sweep died with ZeroDivisionError
+    ("noise.sir_db", "4000"),
+    ("noise.sir_db", "-4000"),
+    ("train.ebn0_db", "6,4000"),    # these failed the same way in gen-dataset
+    ("train.sir_db", "-4000"),
 ]
 
 
@@ -409,6 +435,26 @@ def test_range_limits_are_inclusive(cfg_file):
         "noise.scale": "5e-324"})
     config_mod.load_config(cfg_file, {
         "noise.j_trunc": "171", "noise.beta": "1", "noise.burst_len": "4"})
+    # The dB edges; the noiseless chain tests run at 300 dB.
+    config_mod.load_config(cfg_file, {
+        "grid.ebn0_db": "-300,300", "noise.sir_db": "-300",
+        "train.ebn0_db": "-300,300", "train.sir_db": "-300,300"})
+
+
+@pytest.mark.parametrize("command, sets", [
+    ("ber-sweep", {"noise.epsilon": "1e-300", "noise.sir_db": "-300",
+                   "sweep.max_bits": "1"}),
+    ("gen-dataset", {"train.epsilon": "1e-300", "train.sir_db": "-300"}),
+])
+def test_infinite_impulse_power_exits_2(cfg_file, tmp_path, capsys, command,
+                                        sets):
+    # Each key is in range, but epsilon * SIR underflows to 0: this died
+    # with ZeroDivisionError.
+    args = [arg for k, v in sets.items() for arg in ("--set", f"{k}={v}")]
+    rc = run_cli(command, "--config", cfg_file, *args,
+                 "--out", tmp_path / "out")
+    assert rc == 2
+    assert "infinite impulse power" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-64"])

@@ -47,9 +47,9 @@ def default_config(**overrides):
 
 
 def cleaned(cfg, batch, name, params=None):
-    """One policy's mitigated receiver stream of a batch, mitigated alone."""
+    """One policy's mitigated receiver samples of a batch, mitigated alone."""
     settings = DetectorSettings(cfg.p_fa, params, cfg.half_width)
-    return mitigate(link.receiver_stream(cfg, batch), (name,), settings)[0]
+    return mitigate(batch.rx, (name,), settings)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +80,16 @@ def test_bg_spec_ties_impulse_power_to_sir():
     assert spec.epsilon * spec.sigma_i2 == pytest.approx(928 / 1024, rel=1e-12)
     quieter = link.noise_spec_for(default_config(**{"noise.sir_db": 10}), 10.0)
     assert quieter.sigma_i2 == pytest.approx(spec.sigma_i2 / 10.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("epsilon, sir_db", [
+    (1e-300, -300),     # epsilon * SIR underflows: ZeroDivisionError
+    (5e-324, 0),        # signal power / epsilon overflows: an inf variance
+])
+def test_bg_spec_rejects_an_infinite_impulse_power(epsilon, sir_db):
+    cfg = default_config(**{"noise.epsilon": epsilon, "noise.sir_db": sir_db})
+    with pytest.raises(ValueError, match="infinite impulse power"):
+        link.noise_spec_for(cfg, 10.0)
 
 
 def test_degenerate_bg_spec_is_pure_awgn():
@@ -134,12 +144,10 @@ def test_simulate_batch_shapes_and_labels():
     cfg = small_config()
     batch = link.simulate_batch(cfg, 10.0, 5, np.random.default_rng(1))
     assert batch.tx_bits.shape == (5, link.bits_per_symbol(cfg))
-    assert batch.rx.shape == (5, 144)
-    assert batch.clean.shape == (5, 144)
-    assert batch.labels.shape == (5, 144)
+    assert batch.rx.shape == (5, 128)
+    assert batch.labels.shape == (5, 128)
     assert len(batch.channels) == 5
     assert set(np.unique(batch.tx_bits)) <= {0, 1}
-    assert batch.ebn0_db == 10.0
 
 
 def test_simulate_batch_is_seed_deterministic():
@@ -148,7 +156,7 @@ def test_simulate_batch_is_seed_deterministic():
     b = link.simulate_batch(cfg, 8.0, 3, np.random.default_rng(7))
     assert np.array_equal(a.tx_bits, b.tx_bits)
     assert np.array_equal(a.rx, b.rx)
-    assert np.array_equal(a.clean, b.clean)
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_simulate_batch_rejects_empty():
@@ -157,33 +165,46 @@ def test_simulate_batch_rejects_empty():
 
 
 def test_noise_power_matches_spec_in_expectation():
+    # Bits and channels are drawn before the noise, so a noiseless twin from
+    # the same seed carries the same signal.
     cfg = small_config(**{"noise.epsilon": 0.05})
     batch = link.simulate_batch(cfg, 6.0, 400, np.random.default_rng(2))
+    twin = link.simulate_batch(small_config(**{"noise.epsilon": 0}), 300.0,
+                               400, np.random.default_rng(2))
+    assert np.array_equal(twin.tx_bits, batch.tx_bits)
     spec = batch.spec
-    measured = np.mean(np.abs(batch.rx - batch.clean) ** 2)
+    measured = np.mean(np.abs(batch.rx - twin.rx) ** 2)
     expected = spec.sigma_w2 + spec.epsilon * spec.sigma_i2
     assert measured == pytest.approx(expected, rel=0.05)
 
 
-def test_receiver_stream_discards_prefix_in_plain_chain():
+def test_plain_batch_holds_the_symbol_bodies():
     cfg = small_config()
     batch = link.simulate_batch(cfg, 10.0, 2, np.random.default_rng(3))
-    stream = link.receiver_stream(cfg, batch)
-    assert stream.shape == (2, 128)
-    assert np.array_equal(stream, batch.rx[:, 16:])
-    labels = link.receiver_stream_labels(cfg, batch)
-    assert np.array_equal(labels, batch.labels[:, 16:])
+    assert batch.rx.shape == batch.labels.shape == (2, 128)
 
 
-def test_receiver_stream_keeps_full_interleaved_stream():
+def test_time_interleaved_batch_holds_the_full_stream():
     cfg = small_config(**{"interleaver.time_enabled": True,
                           "interleaver.time_rows": 8,
                           "interleaver.time_cols": 18})
     batch = link.simulate_batch(cfg, 10.0, 2, np.random.default_rng(4))
-    stream = link.receiver_stream(cfg, batch)
-    assert stream.shape == (2, 144)
-    assert np.array_equal(stream, batch.rx)
-    assert np.array_equal(link.receiver_stream_labels(cfg, batch), batch.labels)
+    assert batch.rx.shape == batch.labels.shape == (2, 144)
+
+
+def test_plain_batch_is_the_body_of_an_identity_interleaved_batch():
+    # A 1x144 time interleaver leaves the stream in natural order, so the
+    # plain batch must be the same draws with the 16 prefix samples dropped.
+    plain = link.simulate_batch(small_config(), 10.0, 3,
+                                np.random.default_rng(8))
+    full = link.simulate_batch(
+        small_config(**{"interleaver.time_enabled": True,
+                        "interleaver.time_rows": 1,
+                        "interleaver.time_cols": 144}),
+        10.0, 3, np.random.default_rng(8))
+    assert full.rx.shape == (3, 144)
+    assert np.array_equal(plain.rx, full.rx[:, 16:])
+    assert np.array_equal(plain.labels, full.labels[:, 16:])
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +244,7 @@ def test_none_policy_takes_an_inf_sample_through_the_receiver(chain):
     # 'invalid value encountered in fft'.
     cfg = small_config(**chain, **{"noise.epsilon": 0})
     batch = link.simulate_batch(cfg, 300.0, 8, np.random.default_rng(5))
-    stream = link.receiver_stream(cfg, batch).copy()
+    stream = batch.rx.copy()
     stream[0, 40] = np.inf
     settings = DetectorSettings(cfg.p_fa, None, cfg.half_width)
     with warnings.catch_warnings():
@@ -399,7 +420,7 @@ def reference_ber_sweep(cfg, params=None):
             batch = link.simulate_batch(cfg, ebn0, link.BATCH_SYMBOLS, rng)
             decoded = viterbi_decode_soft(np.concatenate(
                 [link.receive_llrs(cfg, batch, stream) for stream in
-                 mitigate(link.receiver_stream(cfg, batch), names, settings)]))
+                 mitigate(batch.rx, names, settings)]))
             for name, policy_bits in zip(names, np.split(decoded, len(names))):
                 errors[name] += int(np.sum(policy_bits != batch.tx_bits))
             bits += link.BATCH_SYMBOLS * m
