@@ -6,6 +6,11 @@ weight matrices only, optimized with mini-batch Adam.  No frameworks - the
 forward pass, the analytic gradients and the optimizer live here so the
 whole decision function is inspectable.
 
+The 301 parameters are one float64 vector, ``MlpParams.theta``, in the
+model file's block order w1, b1, w2, b2, w3, b3, each row-major; the
+gradient and Adam's moments share that layout, and :func:`blocks` views
+any such vector layer by layer.
+
 Inputs to :func:`forward` are *normalized* features; the fitted
 :class:`~inofdm.features.FeatureNormalizer` travels inside
 :class:`MlpParams` so inference applies exactly the training-time scaling
@@ -14,7 +19,8 @@ Inputs to :func:`forward` are *normalized* features; the fitted
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,8 +48,17 @@ _SHAPES = {
     "b3": (LAYER_SIZES[3],),
 }
 
-_WEIGHT_KEYS = ("w1", "w2", "w3")
-_PARAM_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3")
+#: Length of the flat parameter vector.
+N_PARAMS = sum(math.prod(shape) for shape in _SHAPES.values())
+
+
+def blocks(vec: np.ndarray) -> Dict[str, np.ndarray]:
+    """Named per-layer views of a (N_PARAMS,) vector, in ``_SHAPES`` order."""
+    views, start = {}, 0
+    for key, shape in _SHAPES.items():
+        views[key] = vec[start:start + math.prod(shape)].reshape(shape)
+        start += views[key].size
+    return views
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -68,38 +83,31 @@ def xavier_init(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MlpParams:
-    """Network weights plus the feature normalizer they were trained with."""
+    """Network weights (a copied ``theta``; ``w1`` ... ``b3`` are its
+    :func:`blocks`) plus the feature normalizer they were trained with."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
+    theta: np.ndarray
     normalizer: FeatureNormalizer
     train_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for key, shape in _SHAPES.items():
-            arr = np.asarray(getattr(self, key), dtype=float)
-            if arr.shape != shape:
-                raise ValueError(f"{key} must have shape {shape}, got {arr.shape}")
-            object.__setattr__(self, key, arr)
+        theta = np.array(self.theta, dtype=float)
+        if theta.shape != (N_PARAMS,):
+            raise ValueError(f"theta must be ({N_PARAMS},), got {theta.shape}")
         if len(self.normalizer.mean) != LAYER_SIZES[0]:
             raise ValueError("normalizer width must match the input layer")
-
-    def as_dict(self) -> Dict[str, np.ndarray]:
-        return {key: getattr(self, key) for key in _PARAM_KEYS}
+        for key, value in {"theta": theta, **blocks(theta)}.items():
+            object.__setattr__(self, key, value)
 
 
 def init_params(rng: np.random.Generator, normalizer: FeatureNormalizer,
                 train_seed: Optional[int] = None) -> MlpParams:
-    """Xavier-uniform weights, zero biases."""
-    return MlpParams(
-        w1=xavier_init(_SHAPES["w1"], rng), b1=np.zeros(_SHAPES["b1"]),
-        w2=xavier_init(_SHAPES["w2"], rng), b2=np.zeros(_SHAPES["b2"]),
-        w3=xavier_init(_SHAPES["w3"], rng), b3=np.zeros(_SHAPES["b3"]),
-        normalizer=normalizer, train_seed=train_seed)
+    """Xavier-uniform weights (drawn w1, w2, w3), zero biases."""
+    theta = np.zeros(N_PARAMS)
+    for key, view in blocks(theta).items():
+        if key.startswith("w"):
+            view[...] = xavier_init(view.shape, rng)
+    return MlpParams(theta, normalizer, train_seed)
 
 
 def _forward_cached(params: MlpParams, x: np.ndarray):
@@ -177,13 +185,13 @@ def loss_value(params: MlpParams, x: np.ndarray, y: np.ndarray,
     yhat = np.clip(_blocked_forward(params, x, DETECTOR_BLOCK_ROWS),
                    EPS_CLAMP, 1.0 - EPS_CLAMP)
     bce = -np.mean(y * np.log(yhat) + (1.0 - y) * np.log(1.0 - yhat))
-    penalty = sum(float(np.sum(getattr(params, k) ** 2)) for k in _WEIGHT_KEYS)
+    penalty = sum(float(np.sum(w ** 2)) for w in (params.w1, params.w2, params.w3))
     return float(bce + lam / (2.0 * m) * penalty)
 
 
 def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray,
-              lam: float) -> Dict[str, np.ndarray]:
-    """Analytic gradients of :func:`loss_value` w.r.t. every parameter.
+              lam: float) -> np.ndarray:
+    """Analytic gradient of :func:`loss_value`, a (N_PARAMS,) vector.
 
     ReLU uses subgradient 0 at exactly 0; biases carry no L2 term.
     """
@@ -191,49 +199,39 @@ def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     m = len(y)
     yhat, z1, a1, z2, a2 = _forward_cached(params, x)
+    grad = np.empty(N_PARAMS)
+    g = blocks(grad)
     dz3 = ((yhat - y) / m)[:, None]                      # (m, 1)
-    dw3 = dz3.T @ a2 + (lam / m) * params.w3
-    db3 = dz3.sum(axis=0)
+    g["w3"][...] = dz3.T @ a2 + (lam / m) * params.w3
+    g["b3"][...] = dz3.sum(axis=0)
     dz2 = (dz3 @ params.w3) * (z2 > 0)                   # (m, 10)
-    dw2 = dz2.T @ a1 + (lam / m) * params.w2
-    db2 = dz2.sum(axis=0)
+    g["w2"][...] = dz2.T @ a1 + (lam / m) * params.w2
+    g["b2"][...] = dz2.sum(axis=0)
     dz1 = (dz2 @ params.w2) * (z1 > 0)                   # (m, 20)
-    dw1 = dz1.T @ x + (lam / m) * params.w1
-    db1 = dz1.sum(axis=0)
-    return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2, "w3": dw3, "b3": db3}
+    g["w1"][...] = dz1.T @ x + (lam / m) * params.w1
+    g["b1"][...] = dz1.sum(axis=0)
+    return grad
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the shared step counter."""
+    """Learning rate, flat first/second moments and the shared step counter."""
 
-    moment1: Dict[str, np.ndarray]
-    moment2: Dict[str, np.ndarray]
+    eta: float
+    moment1: np.ndarray = field(default_factory=lambda: np.zeros(N_PARAMS))
+    moment2: np.ndarray = field(default_factory=lambda: np.zeros(N_PARAMS))
     step: int = 0
-    eta: float = 0.01
 
 
-def init_adam(params: MlpParams, eta: float = 0.01) -> AdamState:
-    zeros = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
-    return AdamState(moment1=zeros,
-                     moment2={k: v.copy() for k, v in zeros.items()},
-                     step=0, eta=eta)
-
-
-def adam_step(state: AdamState, params: MlpParams,
-              grads: Dict[str, np.ndarray]) -> Tuple[MlpParams, AdamState]:
-    """One Adam update; the counter increments before bias correction."""
-    k = state.step + 1
-    new_values = {}
-    for key, theta in params.as_dict().items():
-        g = grads[key]
-        state.moment1[key] = ADAM_BETA1 * state.moment1[key] + (1 - ADAM_BETA1) * g
-        state.moment2[key] = ADAM_BETA2 * state.moment2[key] + (1 - ADAM_BETA2) * g ** 2
-        m_hat = state.moment1[key] / (1.0 - ADAM_BETA1 ** k)
-        v_hat = state.moment2[key] / (1.0 - ADAM_BETA2 ** k)
-        new_values[key] = theta - state.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    state.step = k
-    return replace(params, **new_values), state
+def adam_step(state: AdamState, params: MlpParams, grad: np.ndarray) -> MlpParams:
+    """One Adam update; ``state`` advances in place, its counter first."""
+    state.step += 1
+    state.moment1 = ADAM_BETA1 * state.moment1 + (1 - ADAM_BETA1) * grad
+    state.moment2 = ADAM_BETA2 * state.moment2 + (1 - ADAM_BETA2) * grad ** 2
+    m_hat = state.moment1 / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.moment2 / (1.0 - ADAM_BETA2 ** state.step)
+    delta = state.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return replace(params, theta=params.theta - delta)
 
 
 @dataclass(frozen=True)
@@ -279,15 +277,15 @@ def train(features: np.ndarray, labels: np.ndarray,
     normalizer = fit_normalizer(features)
     x = apply_normalizer(features, normalizer)
     params = init_params(rng, normalizer, train_seed=cfg.seed)
-    state = init_adam(params, eta=cfg.eta)
+    state = AdamState(eta=cfg.eta)
     losses: List[float] = []
     n_rows = len(labels)
     for _ in range(cfg.epochs):
         order = rng.permutation(n_rows)
         for start in range(0, n_rows, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            grads = gradients(params, x[batch], labels[batch], cfg.lam)
-            params, state = adam_step(state, params, grads)
+            grad = gradients(params, x[batch], labels[batch], cfg.lam)
+            params = adam_step(state, params, grad)
         epoch_loss = loss_value(params, x, labels, cfg.lam)
         if not np.isfinite(epoch_loss):
             raise FloatingPointError(
@@ -329,42 +327,41 @@ def save_model(path, params: MlpParams) -> None:
         fh.write(f"{_FORMAT_TAG} {_FORMAT_VERSION}\n")
         seed = params.train_seed
         fh.write(f"seed {'none' if seed is None else int(seed)}\n")
-        for name, vec in (("norm_mean", params.normalizer.mean),
-                          ("norm_std", params.normalizer.std)):
-            fh.write(f"{name} {len(vec)}\n")
-            fh.write(" ".join(f"{v:.17g}" for v in vec) + "\n")
-        for key in _PARAM_KEYS:
-            arr = getattr(params, key)
+        for key, arr in {"norm_mean": params.normalizer.mean,
+                         "norm_std": params.normalizer.std,
+                         **blocks(params.theta)}.items():
             fh.write(f"{key} {' '.join(str(d) for d in arr.shape)}\n")
             for row in np.atleast_2d(arr):
                 fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def load_model(path) -> MlpParams:
-    """Inverse of :func:`save_model`, validating version and shapes."""
+    """Inverse of :func:`save_model`; a ValueError names the record or
+    block that is missing, misnamed, cut short or of the wrong shape."""
     with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split("\n")
-    lines = [ln for ln in tokens if ln.strip()]
-    head = lines[0].split()
-    if head[0] != _FORMAT_TAG or int(head[1]) != _FORMAT_VERSION:
-        raise ValueError(f"not a {_FORMAT_TAG} v{_FORMAT_VERSION} file")
-    seed_tok = lines[1].split()
-    if seed_tok[0] != "seed":
+        lines = [ln.split() for ln in fh.read().split("\n") if ln.strip()]
+    if not lines or lines[0] != [_FORMAT_TAG, str(_FORMAT_VERSION)]:
+        raise ValueError(f"not a {_FORMAT_TAG} v{_FORMAT_VERSION} file: "
+                         f"missing the '{_FORMAT_TAG} {_FORMAT_VERSION}' record")
+    if len(lines) < 2 or len(lines[1]) != 2 or lines[1][0] != "seed":
         raise ValueError("missing seed record")
-    train_seed = None if seed_tok[1] == "none" else int(seed_tok[1])
+    train_seed = None if lines[1][1] == "none" else int(lines[1][1])
     pos = 2
-    blocks: Dict[str, np.ndarray] = {}
-    for name in ("norm_mean", "norm_std") + _PARAM_KEYS:
-        header = lines[pos].split()
-        if header[0] != name:
-            raise ValueError(f"expected block {name!r}, found {header[0]!r}")
-        shape = tuple(int(d) for d in header[1:])
+    arrays = []
+    for name in ("norm_mean", "norm_std", *_SHAPES):
+        if pos == len(lines):
+            raise ValueError(f"model file ends before block {name!r}")
+        if lines[pos][0] != name:
+            raise ValueError(f"expected block {name!r}, found {lines[pos][0]!r}")
+        shape = tuple(int(d) for d in lines[pos][1:])
+        if name in _SHAPES and shape != _SHAPES[name]:
+            raise ValueError(f"block {name!r} is {shape}, not {_SHAPES[name]}")
         n_lines = shape[0] if len(shape) == 2 else 1
-        values = []
-        for ln in lines[pos + 1: pos + 1 + n_lines]:
-            values.extend(float(v) for v in ln.split())
-        blocks[name] = np.asarray(values).reshape(shape)
+        values = [float(t) for ln in lines[pos + 1:pos + 1 + n_lines] for t in ln]
+        if len(values) != math.prod(shape):
+            raise ValueError(f"block {name!r} has {len(values)} values, shape {shape}")
+        arrays.append(np.array(values).reshape(shape))
         pos += 1 + n_lines
-    normalizer = FeatureNormalizer(mean=blocks["norm_mean"], std=blocks["norm_std"])
-    return MlpParams(normalizer=normalizer, train_seed=train_seed,
-                     **{key: blocks[key] for key in _PARAM_KEYS})
+    mean, std, *weights = arrays
+    return MlpParams(np.concatenate([w.ravel() for w in weights]),
+                     FeatureNormalizer(mean=mean, std=std), train_seed)

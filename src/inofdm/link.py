@@ -106,6 +106,9 @@ def noise_spec_for(cfg: ExperimentConfig, ebn0_db: float) -> NoiseSpec:
         return BGNoise(epsilon=cfg.epsilon, sigma_w2=n0, sigma_i2=sigma_i2)
     if cfg.noise_model == "mca":
         sigma_n2 = n0 * (1.0 + cfg.mca_gamma) / cfg.mca_gamma
+        if not math.isfinite(sigma_n2):
+            raise ValueError(f"noise.gamma = {cfg.mca_gamma:g} at Eb/N0 {ebn0_db:g} dB "
+                             "gives an infinite Class A noise power")
         return MCANoise(overlap_a=cfg.mca_a, gamma=cfg.mca_gamma,
                         sigma_n2=sigma_n2, j_trunc=cfg.mca_j_trunc)
     if cfg.noise_model == "sas":

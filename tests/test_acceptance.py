@@ -24,7 +24,8 @@ from inofdm import config as cfgmod
 from inofdm import dnn, link
 from inofdm.cli import main as cli
 from inofdm.coding import conv_encode, viterbi_decode_soft
-from inofdm.dnn import MlpParams, adam_step, init_adam, loss_value, gradients
+from inofdm.dnn import (N_PARAMS, AdamState, MlpParams, adam_step, blocks,
+                        gradients, loss_value)
 from inofdm.features import FeatureNormalizer
 from inofdm.noise_models import (BGNoise, MCANoise, SASNoise, mixture_weights,
                                  sample_bg, sample_mca, sample_sas)
@@ -204,45 +205,34 @@ def test_criterion_4_shorter_bursts_decode_better(model):
 
 
 def _fd_gradients(params, x, y, lam, h=1e-6):
-    out = {}
-    for key in ("w1", "b1", "w2", "b2", "w3", "b3"):
-        base = getattr(params, key)
-        grad = np.zeros_like(base)
-        it = np.nditer(base, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            hi = base.copy()
-            hi[idx] += h
-            lo = base.copy()
-            lo[idx] -= h
-            grad[idx] = (loss_value(replace(params, **{key: hi}), x, y, lam)
-                         - loss_value(replace(params, **{key: lo}), x, y, lam)
-                         ) / (2.0 * h)
-        out[key] = grad
-    return out
+    grad = np.zeros(N_PARAMS)
+    for i in range(N_PARAMS):
+        hi = params.theta.copy()
+        hi[i] += h
+        lo = params.theta.copy()
+        lo[i] -= h
+        grad[i] = (loss_value(replace(params, theta=hi), x, y, lam)
+                   - loss_value(replace(params, theta=lo), x, y, lam)) / (2.0 * h)
+    return grad
 
 
 def test_criterion_5_numeric_suite():
-    shapes = {"w1": (20, 3), "b1": (20,), "w2": (10, 20), "b2": (10,),
-              "w3": (1, 10), "b3": (1,)}
     ident = FeatureNormalizer(mean=np.zeros(3), std=np.ones(3))
 
     # Backprop against central differences, < 1e-5 relative.  Small batch:
     # the quotient divides the loss's own rounding noise by 2h, and short
     # sums keep that noise far below the gradients measured.
-    rng = np.random.default_rng(12)
-    params = MlpParams(normalizer=ident,
-                       **{k: 0.6 * rng.standard_normal(s)
-                          for k, s in shapes.items()})
+    params = MlpParams(0.6 * np.random.default_rng(12).standard_normal(N_PARAMS),
+                       ident)
     x = np.random.default_rng(11).standard_normal((8, 3))
     y = (x.sum(axis=1) > 0).astype(float)
-    analytic = gradients(params, x, y, lam=0.1)
-    numeric = _fd_gradients(params, x, y, lam=0.1)
+    analytic = blocks(gradients(params, x, y, lam=0.1))
+    numeric = blocks(_fd_gradients(params, x, y, lam=0.1))
     worst = max(
         float(np.max(np.abs(analytic[k] - numeric[k])
                      / np.maximum(np.maximum(np.abs(analytic[k]),
                                              np.abs(numeric[k])), 1e-3)))
-        for k in shapes)
+        for k in analytic)
     assert worst < 1e-5, f"gradient mismatch {worst:.3g}"
 
     # OFDM modulate/demodulate round trip, < 1e-12.
@@ -275,28 +265,22 @@ def test_criterion_5_numeric_suite():
     # Adam against a flat-vector reference coded from the update equations,
     # trace agreement <= 1e-12 over 100 steps.
     eta, beta1, beta2, eps_hat = 0.01, 0.9, 0.999, 1e-8
-    rng = np.random.default_rng(21)
-    params = MlpParams(normalizer=ident,
-                       **{k: 0.6 * rng.standard_normal(s)
-                          for k, s in shapes.items()})
-    keys = list(shapes)
-    flatten = lambda d: np.concatenate([np.asarray(d[k]).ravel() for k in keys])
-    theta = flatten(params.as_dict())
+    params = MlpParams(0.6 * np.random.default_rng(21).standard_normal(N_PARAMS),
+                       ident)
+    theta = params.theta.copy()
     m_ref = np.zeros_like(theta)
     v_ref = np.zeros_like(theta)
-    state = init_adam(params, eta=eta)
+    state = AdamState(eta=eta)
     grad_rng = np.random.default_rng(22)
     worst = 0.0
     for step in range(1, 101):
-        grads = {k: grad_rng.standard_normal(s) for k, s in shapes.items()}
-        params, state = adam_step(state, params, grads)
-        g = flatten(grads)
+        g = grad_rng.standard_normal(N_PARAMS)
+        params = adam_step(state, params, g)
         m_ref = beta1 * m_ref + (1 - beta1) * g
         v_ref = beta2 * v_ref + (1 - beta2) * g * g
         theta = theta - eta * (m_ref / (1 - beta1 ** step)) / (
             np.sqrt(v_ref / (1 - beta2 ** step)) + eps_hat)
-        worst = max(worst, float(np.max(np.abs(flatten(params.as_dict())
-                                               - theta))))
+        worst = max(worst, float(np.max(np.abs(params.theta - theta))))
     assert worst <= 1e-12, f"Adam trace diverged by {worst:.3g}"
 
     # Model variances at 1e6 samples, within 2%.

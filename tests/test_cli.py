@@ -457,6 +457,47 @@ def test_infinite_impulse_power_exits_2(cfg_file, tmp_path, capsys, command,
     assert "infinite impulse power" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, args", [
+    ("ber-sweep", ["--set", "sweep.max_bits=1", "--out", "curves"]),
+    ("evaluate", ["--detector", "threshold", "--symbols", "32"]),
+])
+@pytest.mark.parametrize("gamma", ["5e-324", "1e-310"])
+def test_infinite_class_a_noise_power_exits_2(cfg_file, tmp_path, monkeypatch,
+                                              capsys, command, args, gamma):
+    # gamma passes its > 0 load check, but N0 (1 + gamma) / gamma overflows:
+    # ber-sweep wrote BER 0.5 curves and evaluate a detection rate of 0.
+    monkeypatch.chdir(tmp_path)
+    rc = run_cli(command, "--config", cfg_file, "--set", "noise.model=mca",
+                 "--set", f"noise.gamma={gamma}", "--set", "grid.ebn0_db=10",
+                 *args)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "noise.gamma" in err and "infinite Class A noise power" in err
+    assert not list(tmp_path.glob("curves/*.csv"))
+
+
+SHIPPED_MODEL = Path(__file__).resolve().parent.parent / "models" / "detector.txt"
+
+
+@pytest.mark.parametrize("keep, missing", [
+    (0, "inofdm-model 1"), (1, "seed"), (6, "'w1'"),
+], ids=["empty", "first-line", "normalizer-only"])
+@pytest.mark.parametrize("command, args", [
+    ("ber-sweep", ["--set", "sweep.policies=dnn", "--out", "curves"]),
+    ("evaluate", ["--detector", "dnn", "--symbols", "4"]),
+])
+def test_truncated_model_file_exits_2(cfg_file, tmp_path, monkeypatch, capsys,
+                                      command, args, keep, missing):
+    # Each of these died with IndexError and a traceback.
+    monkeypatch.chdir(tmp_path)
+    model = tmp_path / "cut.txt"
+    model.write_text("".join(
+        SHIPPED_MODEL.read_text().splitlines(keepends=True)[:keep]))
+    rc = run_cli(command, "--config", cfg_file, "--model", model, *args)
+    assert rc == 2
+    assert missing in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["0", "-64"])
 def test_fft_size_below_one_names_its_key(cfg_file, value):
     # n_fft = 0 used to blame ofdm.pilot_spacing.  At 1 the key passes its

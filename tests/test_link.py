@@ -99,6 +99,14 @@ def test_degenerate_bg_spec_is_pure_awgn():
     assert spec.sigma_w2 == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("gamma", [5e-324, 1e-310])
+def test_mca_spec_rejects_an_infinite_noise_power(gamma):
+    # N0 (1 + gamma) / gamma overflows; the sampler would draw inf noise.
+    cfg = default_config(**{"noise.model": "mca", "noise.gamma": gamma})
+    with pytest.raises(ValueError, match="noise.gamma .* Eb/N0 10 dB"):
+        link.noise_spec_for(cfg, 10.0)
+
+
 def test_mca_spec_background_equals_thermal_power():
     # sigma_n2 = N0 (1+Gamma)/Gamma makes the Poisson-0 background term N0.
     cfg = default_config(**{"noise.model": "mca"})

@@ -76,16 +76,14 @@ def magnitude_gate_params(knee=3.5, gain=10.0):
     sigmoid(gain * (x1 - knee) ... ) >= 0.5 exactly when x1 >= knee + 0.5.
     A deterministic stand-in for a trained model in composition tests.
     """
-    shapes = {"w1": (20, 3), "b1": (20,), "w2": (10, 20), "b2": (10,),
-              "w3": (1, 10), "b3": (1,)}
-    blocks = {k: np.zeros(s) for k, s in shapes.items()}
-    blocks["w1"][0, 0] = gain
-    blocks["b1"][0] = -gain * knee
-    blocks["w2"][0, 0] = 1.0
-    blocks["w3"][0, 0] = 1.0
-    blocks["b3"][0] = -gain * 0.5
-    norm = FeatureNormalizer(mean=np.zeros(3), std=np.ones(3))
-    return MlpParams(normalizer=norm, **blocks)
+    theta = np.zeros(dnn.N_PARAMS)
+    layers = dnn.blocks(theta)
+    layers["w1"][0, 0] = gain
+    layers["b1"][0] = -gain * knee
+    layers["w2"][0, 0] = 1.0
+    layers["w3"][0, 0] = 1.0
+    layers["b3"][0] = -gain * 0.5
+    return MlpParams(theta, FeatureNormalizer(mean=np.zeros(3), std=np.ones(3)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from inofdm.dnn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     EPS_CLAMP,
     LAYER_SIZES,
+    N_PARAMS,
+    AdamState,
     MlpParams,
     TrainConfig,
     adam_step,
+    blocks,
     classify,
     forward,
     gradients,
-    init_adam,
     init_params,
     load_model,
     loss_value,
@@ -32,7 +37,8 @@ from inofdm.dnn import (
     train,
     xavier_init,
 )
-from inofdm.features import DETECTOR_BLOCK_ROWS, FeatureNormalizer
+from inofdm.features import (DETECTOR_BLOCK_ROWS, FeatureNormalizer,
+                             apply_normalizer, fit_normalizer)
 
 MODEL_PATH = Path(__file__).resolve().parent.parent / "models" / "detector.txt"
 
@@ -47,15 +53,17 @@ def identity_norm():
     return FeatureNormalizer(mean=np.zeros(3), std=np.ones(3))
 
 
+def params_from(theta, normalizer=None):
+    """MlpParams over a flat vector, with the identity normalizer by default."""
+    return MlpParams(theta, normalizer or identity_norm())
+
+
 def random_params(seed, scale=0.6):
-    rng = np.random.default_rng(seed)
-    blocks = {k: scale * rng.standard_normal(s) for k, s in SHAPES.items()}
-    return MlpParams(normalizer=identity_norm(), **blocks)
+    return params_from(scale * np.random.default_rng(seed).standard_normal(N_PARAMS))
 
 
 def zero_params():
-    return MlpParams(normalizer=identity_norm(),
-                     **{k: np.zeros(s) for k, s in SHAPES.items()})
+    return params_from(np.zeros(N_PARAMS))
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +170,28 @@ def test_init_params_shapes_and_zero_biases():
     assert params.train_seed == 9
 
 
+def test_flat_layout_is_the_model_file_block_order():
+    assert N_PARAMS == sum(int(np.prod(s)) for s in SHAPES.values()) == 301
+    theta = np.arange(N_PARAMS, dtype=float)
+    views = blocks(theta)
+    assert list(views) == list(SHAPES)
+    assert np.array_equal(np.concatenate([v.ravel() for v in views.values()]), theta)
+    for key, shape in SHAPES.items():
+        assert views[key].shape == shape and np.shares_memory(views[key], theta)
+    params = params_from(theta)
+    theta[0] = -1.0  # the parameters hold their own copy
+    assert params.w1[0, 0] == 0.0 and params.b3[0] == 300.0
+    assert np.shares_memory(params.w2, params.theta)
+
+
 def test_params_reject_bad_shapes():
-    blocks = {k: np.zeros(s) for k, s in SHAPES.items()}
-    blocks["w2"] = np.zeros((10, 19))
     with pytest.raises(ValueError):
-        MlpParams(normalizer=identity_norm(), **blocks)
+        params_from(np.zeros(N_PARAMS - 1))
     with pytest.raises(ValueError):
-        MlpParams(normalizer=FeatureNormalizer(mean=np.zeros(2), std=np.ones(2)),
-                  **{k: np.zeros(s) for k, s in SHAPES.items()})
+        params_from(np.zeros((N_PARAMS, 1)))
+    with pytest.raises(ValueError):
+        params_from(np.zeros(N_PARAMS),
+                    FeatureNormalizer(mean=np.zeros(2), std=np.ones(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +206,15 @@ def test_forward_zero_params_is_half():
 def test_forward_matches_hand_computed_chain():
     # Single active unit per layer reduces the net to a scalar chain that can
     # be evaluated by hand.
-    blocks = {k: np.zeros(s) for k, s in SHAPES.items()}
-    blocks["w1"][0, 0] = 0.5
-    blocks["b1"][0] = 0.1
-    blocks["w2"][0, 0] = 2.0
-    blocks["b2"][0] = -0.05
-    blocks["w3"][0, 0] = 1.5
-    blocks["b3"][0] = 0.2
-    params = MlpParams(normalizer=identity_norm(), **blocks)
+    theta = np.zeros(N_PARAMS)
+    b = blocks(theta)
+    b["w1"][0, 0] = 0.5
+    b["b1"][0] = 0.1
+    b["w2"][0, 0] = 2.0
+    b["b2"][0] = -0.05
+    b["w3"][0, 0] = 1.5
+    b["b3"][0] = 0.2
+    params = params_from(theta)
 
     a1 = max(0.5 * 0.8 + 0.1, 0.0)          # 0.5
     a2 = max(2.0 * a1 - 0.05, 0.0)          # 0.95
@@ -230,9 +253,9 @@ def test_loss_at_chance_is_ln2():
 
 
 def test_loss_near_zero_for_confident_correct_predictions():
-    blocks = {k: np.zeros(s) for k, s in SHAPES.items()}
-    blocks["b3"][0] = 30.0
-    params = MlpParams(normalizer=identity_norm(), **blocks)
+    theta = np.zeros(N_PARAMS)
+    blocks(theta)["b3"][0] = 30.0
+    params = params_from(theta)
     x = np.zeros((5, 3))
     assert loss_value(params, x, np.ones(5), lam=0.0) < 1e-9
 
@@ -283,22 +306,16 @@ def test_blocked_loss_equals_whole_array_loss_exactly(m, model):
 
 
 def finite_difference_gradients(params, x, y, lam, h=1e-6):
-    """Central differences of the loss, one parameter entry at a time."""
-    out = {}
-    for key in ("w1", "b1", "w2", "b2", "w3", "b3"):
-        base = getattr(params, key)
-        grad = np.zeros_like(base)
-        it = np.nditer(base, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            hi = base.copy()
-            hi[idx] += h
-            lo = base.copy()
-            lo[idx] -= h
-            grad[idx] = (loss_value(replace(params, **{key: hi}), x, y, lam)
-                         - loss_value(replace(params, **{key: lo}), x, y, lam)) / (2.0 * h)
-        out[key] = grad
-    return out
+    """Central differences of the loss, one entry of theta at a time."""
+    grad = np.zeros(N_PARAMS)
+    for i in range(N_PARAMS):
+        hi = params.theta.copy()
+        hi[i] += h
+        lo = params.theta.copy()
+        lo[i] -= h
+        grad[i] = (loss_value(replace(params, theta=hi), x, y, lam)
+                   - loss_value(replace(params, theta=lo), x, y, lam)) / (2.0 * h)
+    return grad
 
 
 @pytest.mark.parametrize("seed_pair", [(12, 11), (40, 41), (60, 61)])
@@ -313,8 +330,9 @@ def test_gradients_match_central_differences(lam, seed_pair):
     x = rng.standard_normal((8, 3))
     y = rng.integers(0, 2, 8).astype(float)
     analytic = gradients(params, x, y, lam)
-    numeric = finite_difference_gradients(params, x, y, lam)
-    for key, an in analytic.items():
+    assert analytic.shape == (N_PARAMS,)
+    numeric = blocks(finite_difference_gradients(params, x, y, lam))
+    for key, an in blocks(analytic).items():
         fd = numeric[key]
         # Relative to max(|g|, 1e-3) so noise on near-zero entries (dead ReLU
         # paths) is not divided by itself.
@@ -330,8 +348,7 @@ def test_gradients_mean_invariant_under_batch_duplication():
     y = rng.integers(0, 2, 10).astype(float)
     g1 = gradients(params, x, y, 0.0)
     g2 = gradients(params, np.vstack([x, x]), np.concatenate([y, y]), 0.0)
-    for key in g1:
-        np.testing.assert_allclose(g2[key], g1[key], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(g2, g1, rtol=1e-12, atol=1e-15)
 
 
 def test_gradient_penalty_term_is_lam_over_m_times_weights():
@@ -340,8 +357,8 @@ def test_gradient_penalty_term_is_lam_over_m_times_weights():
     x = rng.standard_normal((8, 3))
     y = rng.integers(0, 2, 8).astype(float)
     lam = 0.9
-    g0 = gradients(params, x, y, 0.0)
-    g1 = gradients(params, x, y, lam)
+    g0 = blocks(gradients(params, x, y, 0.0))
+    g1 = blocks(gradients(params, x, y, lam))
     for key in ("w1", "w2", "w3"):
         np.testing.assert_allclose(
             g1[key] - g0[key], lam / 8 * getattr(params, key), rtol=1e-9)
@@ -353,7 +370,7 @@ def test_gradient_pushes_output_bias_toward_positive_labels():
     # y=1 everywhere and yhat<1 means dL/db3 = mean(yhat - 1) < 0.
     params = random_params(17)
     g = gradients(params, np.zeros((8, 3)), np.ones(8), 0.0)
-    assert g["b3"][0] < 0.0
+    assert blocks(g)["b3"][0] < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -361,42 +378,44 @@ def test_gradient_pushes_output_bias_toward_positive_labels():
 
 
 class TestAdam:
+    def test_state_starts_from_zero_flat_moments(self):
+        state = AdamState(eta=0.05)
+        assert state.moment1.shape == state.moment2.shape == (N_PARAMS,)
+        assert not state.moment1.any() and not state.moment2.any()
+        assert state.step == 0 and state.eta == 0.05
+        with pytest.raises(TypeError):
+            AdamState()  # the rate comes from TrainConfig, never a default
+
     def test_first_step_closed_form(self):
         # k=1 bias correction collapses to theta - eta*g/(|g| + eps).
         params = random_params(18)
-        rng = np.random.default_rng(19)
-        grads = {k: rng.standard_normal(s) for k, s in SHAPES.items()}
-        state = init_adam(params, eta=0.01)
-        new, state = adam_step(state, params, grads)
+        g = np.random.default_rng(19).standard_normal(N_PARAMS)
+        state = AdamState(eta=0.01)
+        new = adam_step(state, params, g)
         assert state.step == 1
-        for key in SHAPES:
-            g = grads[key]
-            expected = getattr(params, key) - 0.01 * g / (np.abs(g) + 1e-8)
-            np.testing.assert_allclose(getattr(new, key), expected,
-                                       rtol=1e-12, atol=1e-15)
+        expected = params.theta - 0.01 * g / (np.abs(g) + 1e-8)
+        np.testing.assert_allclose(new.theta, expected, rtol=1e-12, atol=1e-15)
 
     def test_zero_gradient_is_a_fixed_point(self):
         params = random_params(20)
-        zeros = {k: np.zeros(s) for k, s in SHAPES.items()}
-        state = init_adam(params)
+        state = AdamState(eta=0.01)
         current = params
         for _ in range(3):
-            current, state = adam_step(state, current, zeros)
-        for key in SHAPES:
-            assert np.array_equal(getattr(current, key), getattr(params, key))
+            current = adam_step(state, current, np.zeros(N_PARAMS))
+        assert np.array_equal(current.theta, params.theta)
         assert state.step == 3
 
     def test_scalar_quadratic_converges(self):
         # Minimize theta^2/2 embedded in one weight entry; the rest sees zero
         # gradient and must not move.
-        blocks = {k: np.zeros(s) for k, s in SHAPES.items()}
-        blocks["w3"][0, 0] = 1.0
-        params = MlpParams(normalizer=identity_norm(), **blocks)
-        state = init_adam(params, eta=0.01)
+        theta = np.zeros(N_PARAMS)
+        blocks(theta)["w3"][0, 0] = 1.0
+        params = params_from(theta)
+        state = AdamState(eta=0.01)
         for _ in range(500):
-            g = {k: np.zeros(s) for k, s in SHAPES.items()}
-            g["w3"][0, 0] = params.w3[0, 0]
-            params, state = adam_step(state, params, g)
+            g = np.zeros(N_PARAMS)
+            blocks(g)["w3"][0, 0] = params.w3[0, 0]
+            params = adam_step(state, params, g)
         assert abs(params.w3[0, 0]) < 1e-3
         assert np.all(params.w1 == 0.0) and np.all(params.b3 == 0.0)
 
@@ -405,31 +424,24 @@ class TestAdam:
         equations, max parameter difference <= 1e-12 over 100 steps."""
         eta, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
         params = random_params(21)
-        keys = list(SHAPES)
-        sizes = {k: int(np.prod(SHAPES[k])) for k in keys}
-
-        def flatten(d):
-            return np.concatenate([np.asarray(d[k]).ravel() for k in keys])
-
-        theta_ref = flatten(params.as_dict())
+        theta_ref = params.theta.copy()
         m_ref = np.zeros_like(theta_ref)
         v_ref = np.zeros_like(theta_ref)
 
-        state = init_adam(params, eta=eta)
+        state = AdamState(eta=eta)
         rng = np.random.default_rng(22)
         worst = 0.0
         for step in range(1, 101):
-            grads = {k: rng.standard_normal(s) for k, s in SHAPES.items()}
-            params, state = adam_step(state, params, grads)
+            g = rng.standard_normal(N_PARAMS)
+            params = adam_step(state, params, g)
 
-            g = flatten(grads)
             m_ref = beta1 * m_ref + (1 - beta1) * g
             v_ref = beta2 * v_ref + (1 - beta2) * g * g
             m_hat = m_ref / (1 - beta1 ** step)
             v_hat = v_ref / (1 - beta2 ** step)
             theta_ref = theta_ref - eta * m_hat / (np.sqrt(v_hat) + eps)
 
-            worst = max(worst, np.max(np.abs(flatten(params.as_dict()) - theta_ref)))
+            worst = max(worst, np.max(np.abs(params.theta - theta_ref)))
         assert worst <= 1e-12, f"reference trace diverged by {worst:.3g}"
         assert state.step == 100
 
@@ -472,11 +484,49 @@ class TestTraining:
         cfg = TrainConfig(epochs=8, batch_size=64, seed=11)
         p1, l1 = train(feats, labels, cfg)
         p2, l2 = train(feats, labels, cfg)
-        for key in SHAPES:
-            assert np.array_equal(getattr(p1, key), getattr(p2, key))
+        assert np.array_equal(p1.theta, p2.theta)
         assert np.array_equal(p1.normalizer.mean, p2.normalizer.mean)
         assert l1 == l2
         assert p1.train_seed == 11
+
+    def test_flat_adam_trains_byte_identical_to_per_layer_adam(self, tmp_path):
+        """Two epochs of :func:`train` against the same loop updating each
+        layer's view with the per-layer Adam body the flat update replaced:
+        the saved models and the loss traces must match byte for byte."""
+        feats, labels = cluster_dataset(38, n_per_class=2048)  # 4,096 rows
+        cfg = TrainConfig(epochs=2, seed=7)
+        flat, flat_losses = train(feats, labels, cfg)
+
+        rng = np.random.default_rng(cfg.seed)
+        normalizer = fit_normalizer(feats)
+        x = apply_normalizer(feats, normalizer)
+        params = init_params(rng, normalizer, train_seed=cfg.seed)
+        moment1 = {k: np.zeros(s) for k, s in SHAPES.items()}
+        moment2 = {k: np.zeros(s) for k, s in SHAPES.items()}
+        losses, k = [], 0
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(labels))
+            for start in range(0, len(labels), cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                grads = blocks(gradients(params, x[batch], labels[batch], cfg.lam))
+                k += 1
+                theta = np.empty(N_PARAMS)
+                for key, out in blocks(theta).items():
+                    g = grads[key]
+                    moment1[key] = ADAM_BETA1 * moment1[key] + (1 - ADAM_BETA1) * g
+                    moment2[key] = ADAM_BETA2 * moment2[key] + (1 - ADAM_BETA2) * g ** 2
+                    m_hat = moment1[key] / (1.0 - ADAM_BETA1 ** k)
+                    v_hat = moment2[key] / (1.0 - ADAM_BETA2 ** k)
+                    out[...] = (getattr(params, key)
+                                - cfg.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+                params = replace(params, theta=theta)
+            losses.append(loss_value(params, x, labels, cfg.lam))
+
+        for name, model in (("flat", flat), ("per_layer", params)):
+            save_model(tmp_path / f"{name}.txt", model)
+        assert ((tmp_path / "flat.txt").read_text()
+                == (tmp_path / "per_layer.txt").read_text())
+        assert flat_losses == losses
 
     def test_normalizer_is_fitted_from_the_dataset(self):
         feats, labels = cluster_dataset(27, n_per_class=200)
@@ -520,11 +570,9 @@ def test_predict_proba_keeps_leading_shape():
 
 
 def test_predict_proba_applies_the_stored_normalizer():
-    blocks = {k: np.zeros(s) for k, s in SHAPES.items()}
     norm = FeatureNormalizer(mean=np.array([1.0, 2.0, 3.0]),
                              std=np.array([2.0, 4.0, 8.0]))
-    params = random_params(31)
-    params = MlpParams(normalizer=norm, **params.as_dict())
+    params = params_from(random_params(31).theta, norm)
     raw = np.random.default_rng(32).standard_normal((50, 3))
     expected = forward(params, (raw - norm.mean) / norm.std)
     np.testing.assert_array_equal(predict_proba(params, raw), expected)
@@ -537,7 +585,7 @@ def test_blocked_inference_equals_one_unblocked_forward(m, model):
     if model == "random":
         norm = FeatureNormalizer(mean=np.array([0.5, 1.0, -0.3]),
                                  std=np.array([1.5, 0.7, 2.0]))
-        params = MlpParams(normalizer=norm, **random_params(m, scale=3.0).as_dict())
+        params = params_from(random_params(m, scale=3.0).theta, norm)
     else:
         params = load_model(MODEL_PATH)
     rng = np.random.default_rng(m)
@@ -589,8 +637,7 @@ class TestPersistence:
         path = tmp_path / "model.txt"
         save_model(path, params)
         loaded = load_model(path)
-        for key in SHAPES:
-            assert np.array_equal(getattr(loaded, key), getattr(params, key))
+        assert np.array_equal(loaded.theta, params.theta)
         assert np.array_equal(loaded.normalizer.mean, params.normalizer.mean)
         assert np.array_equal(loaded.normalizer.std, params.normalizer.std)
         assert loaded.train_seed == 77
@@ -626,8 +673,25 @@ class TestPersistence:
         save_model(path, random_params(37))
         mangled = path.read_text().replace("w1 20 3", "w1 3 20", 1)
         (tmp_path / "mangled.txt").write_text(mangled)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'w1'"):
             load_model(tmp_path / "mangled.txt")
+        lines = path.read_text().splitlines(keepends=True)
+        lines[7] = lines[7].rstrip("\n") + " 0.5\n"  # a w1 row one value too long
+        (tmp_path / "long_row.txt").write_text("".join(lines))
+        with pytest.raises(ValueError, match="'w1' has 61 values"):
+            load_model(tmp_path / "long_row.txt")
+
+    @pytest.mark.parametrize("keep, missing", [
+        (0, "inofdm-model 1"), (1, "seed"), (3, "'norm_mean'"), (4, "'norm_std'"),
+        (6, "'w1'"), (17, "'w1'"), (45, "'b3'"),
+    ], ids=["empty", "header-only", "cut-in-norm-mean", "no-norm-std",
+            "no-weights", "cut-in-w1", "cut-in-b3"])
+    def test_rejects_truncated_files(self, tmp_path, keep, missing):
+        lines = MODEL_PATH.read_text().splitlines(keepends=True)
+        path = tmp_path / "cut.txt"
+        path.write_text("".join(lines[:keep]))
+        with pytest.raises(ValueError, match=missing):
+            load_model(path)
 
 
 def test_layer_sizes_are_the_published_architecture():
