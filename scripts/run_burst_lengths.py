@@ -3,9 +3,10 @@
 
 Holds the total impulse fraction fixed (epsilon = 0.06, SIR = 0 dB) while
 the corrupted samples arrive in runs of 1, 2 or 4, with receiver-side
-time interleaving enabled.  Longer runs contaminate the sliding feature
-windows and survive mitigation more often, so BER should degrade with
-the run length.
+time interleaving enabled: configs/bursty_time_interleaved.cfg with only
+the run length, the grid and the seed set here.  Longer runs contaminate
+the sliding feature windows and survive mitigation more often, so BER
+should degrade with the run length.
 """
 
 import argparse
@@ -14,6 +15,9 @@ import sys
 
 from inofdm import config as cfgmod
 from inofdm import dnn, link
+
+CONFIG = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+          / "bursty_time_interleaved.cfg")
 
 
 def run(argv=None):
@@ -30,14 +34,9 @@ def run(argv=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     collected = {}
     for num in args.lengths:
-        cfg = cfgmod.load_config(None, {
-            "noise.epsilon": "0.06",
+        cfg = cfgmod.load_config(CONFIG, {
             "noise.burst_len": str(num),
-            "interleaver.time_enabled": "true",
             "grid.ebn0_db": args.grid,
-            "sweep.policies": "dnn",
-            "sweep.min_errors": "400",
-            "sweep.max_bits": "2000000",
             "seed": str(args.seed),
         })
         curve = link.ber_sweep(cfg, params)["dnn"]

@@ -3,8 +3,9 @@
 symmetric alpha-stable noise.
 
 The detector never sees heavy-tailed stable noise during training; this
-sweep checks whether its advantage over threshold blanking and clipping
-survives at alpha in {1.5, 1.8}.
+runs configs/sas_mismatch.cfg to check whether its advantage over threshold
+blanking and clipping survives at alpha in {1.5, 1.8}.  Only alpha, the grid
+and the seed are set here; the rest is the config's.
 """
 
 import argparse
@@ -13,6 +14,9 @@ import sys
 
 from inofdm import config as cfgmod
 from inofdm import dnn, link
+
+CONFIG = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+          / "sas_mismatch.cfg")
 
 
 def run(argv=None):
@@ -26,13 +30,9 @@ def run(argv=None):
 
     params = dnn.load_model(args.model)
     for alpha in args.alpha:
-        cfg = cfgmod.load_config(None, {
-            "noise.model": "sas",
+        cfg = cfgmod.load_config(CONFIG, {
             "noise.alpha": repr(alpha),
             "grid.ebn0_db": args.grid,
-            "sweep.policies": "dnn,bln,clp",
-            "sweep.min_errors": "300",
-            "sweep.max_bits": "2500000",
             "seed": str(args.seed),
         })
         curves = link.ber_sweep(cfg, params)

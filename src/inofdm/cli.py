@@ -115,10 +115,10 @@ def _cmd_ber_sweep(args: argparse.Namespace) -> int:
             raise ValueError("a model file is required for network policies "
                              "(--model or config key model.path)")
         params = dnn.load_model(model_path)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     curves = link.ber_sweep(cfg, params,
                             log=lambda msg: print(msg, file=sys.stderr))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, curve in curves.items():
         link.write_curve_csv(out_dir / f"curve_{name}.csv", curve)
     print(f"wrote {len(curves)} curve files to {out_dir}")

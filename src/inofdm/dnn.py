@@ -337,7 +337,8 @@ def save_model(path, params: MlpParams) -> None:
 
 def load_model(path) -> MlpParams:
     """Inverse of :func:`save_model`; a ValueError names the record or
-    block that is missing, misnamed, cut short or of the wrong shape."""
+    block that is missing, misnamed, cut short, of the wrong shape or holds
+    a non-finite value."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.split() for ln in fh.read().split("\n") if ln.strip()]
     if not lines or lines[0] != [_FORMAT_TAG, str(_FORMAT_VERSION)]:
@@ -360,6 +361,8 @@ def load_model(path) -> MlpParams:
         values = [float(t) for ln in lines[pos + 1:pos + 1 + n_lines] for t in ln]
         if len(values) != math.prod(shape):
             raise ValueError(f"block {name!r} has {len(values)} values, shape {shape}")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"block {name!r} holds a non-finite value")
         arrays.append(np.array(values).reshape(shape))
         pos += 1 + n_lines
     mean, std, *weights = arrays

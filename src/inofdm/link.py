@@ -56,8 +56,7 @@ from .config import ExperimentConfig
 from .dnn import MlpParams
 from .mitigation import (DetectorSettings, detect, detector_features,
                          estimate_clean_power, mitigate)
-from .noise_models import (BGNoise, MCANoise, NoiseSpec, SASNoise,
-                           mca_component, sample_noise)
+from .noise_models import BGNoise, MCANoise, NoiseSpec, SASNoise, sample_noise
 from .ofdm import (ChannelRealization, assemble_active, channel_apply,
                    channel_generate, equalize, estimate_channel, ofdm_demodulate,
                    ofdm_modulate, qpsk_llr, qpsk_map)
@@ -96,14 +95,16 @@ def noise_spec_for(cfg: ExperimentConfig, ebn0_db: float) -> NoiseSpec:
     n0 = awgn_power(ebn0_db)
     if cfg.noise_model == "bg":
         if cfg.epsilon == 0.0:
-            return BGNoise(epsilon=0.0, sigma_w2=n0, sigma_i2=1.0)
+            return BGNoise(epsilon=0.0, sigma_w2=n0, sigma_i2=1.0,
+                           burst_len=cfg.burst_len)
         share = cfg.epsilon * 10.0 ** (cfg.sir_db / 10.0)
         sigma_i2 = signal_power(cfg) / share if share > 0.0 else math.inf
         if sigma_i2 == math.inf:
             raise ValueError(
                 f"impulse probability {cfg.epsilon:g} at SIR {cfg.sir_db:g} dB "
                 "gives an infinite impulse power")
-        return BGNoise(epsilon=cfg.epsilon, sigma_w2=n0, sigma_i2=sigma_i2)
+        return BGNoise(epsilon=cfg.epsilon, sigma_w2=n0, sigma_i2=sigma_i2,
+                       burst_len=cfg.burst_len)
     if cfg.noise_model == "mca":
         sigma_n2 = n0 * (1.0 + cfg.mca_gamma) / cfg.mca_gamma
         if not math.isfinite(sigma_n2):
@@ -118,17 +119,6 @@ def noise_spec_for(cfg: ExperimentConfig, ebn0_db: float) -> NoiseSpec:
     raise ValueError(f"unknown noise model {cfg.noise_model!r}")
 
 
-def gaussian_equivalent_power(spec: NoiseSpec) -> float:
-    """Thermal-component power the LLR stage assumes after mitigation."""
-    if isinstance(spec, BGNoise):
-        return spec.sigma_w2
-    if isinstance(spec, MCANoise):
-        return mca_component(spec.overlap_a, spec.gamma, spec.sigma_n2, 0)[1]
-    if isinstance(spec, SASNoise):
-        return 4.0 * spec.scale ** 2
-    raise TypeError(f"unknown noise spec {type(spec).__name__}")
-
-
 @dataclass(eq=False)
 class SymbolBatch:
     """Everything shared by all policies when decoding one trial batch.
@@ -136,6 +126,7 @@ class SymbolBatch:
     ``rx`` and ``labels`` are what the detector sees: the (B, N) symbol
     bodies in the plain chain, the full (B, N+cp) interleaved stream when a
     time interleaver is active.  ``labels`` is None for stable noise.
+    ``spec`` is the grid point's noise; its ``thermal_power`` scales the LLRs.
     """
 
     tx_bits: np.ndarray                  # (B, m) message bits
@@ -168,10 +159,9 @@ def simulate_batch(cfg: ExperimentConfig, ebn0_db: float, count: int,
     faded = np.stack([channel_apply(tx_time[i], channels[i])
                       for i in range(count)])
     spec = noise_spec_for(cfg, ebn0_db)
-    block = sample_noise(spec, count * cfg.ofdm.symbol_len, rng,
-                         burst_len=cfg.burst_len)
-    noise = block.samples.reshape(count, -1)
-    labels = None if block.labels is None else block.labels.reshape(count, -1)
+    noise, labels = sample_noise(spec, count * cfg.ofdm.symbol_len, rng)
+    noise = noise.reshape(count, -1)
+    labels = None if labels is None else labels.reshape(count, -1)
     if cfg.time_interleaver is not None:
         return SymbolBatch(bits, interleave(faded, cfg.time_interleaver) + noise,
                            labels, channels, spec)
@@ -188,7 +178,8 @@ def receive_llrs(cfg: ExperimentConfig, batch: SymbolBatch,
     ``cleaned`` is one policy's :func:`mitigate` output for ``batch.rx``:
     the symbol bodies, or with a time interleaver the interleaved stream,
     which is deinterleaved and stripped of its prefix here.  Then DFT,
-    channel estimate, equalization, per-bit LLRs and the bit deinterleaver.
+    channel estimate, equalization, per-bit LLRs at the noise spec's
+    ``thermal_power`` and the bit deinterleaver.
 
     Returns:
         Coded-bit LLRs in encoder order, shape (B, 2 * n_data).
@@ -203,8 +194,7 @@ def receive_llrs(cfg: ExperimentConfig, batch: SymbolBatch,
         response = estimate_channel(cfg.ofdm, carriers)
     data = carriers[:, cfg.ofdm.data_carriers]
     eq, noise_scale = equalize(data, response[:, cfg.ofdm.data_carriers])
-    base = gaussian_equivalent_power(batch.spec)
-    llrs = qpsk_llr(eq, base * noise_scale)
+    llrs = qpsk_llr(eq, batch.spec.thermal_power * noise_scale)
     if cfg.tx_interleaver is not None:
         llrs = deinterleave(llrs, cfg.tx_interleaver)
     return llrs

@@ -4,11 +4,14 @@ All samples are complex baseband.  Every variance in this module is a *total*
 complex power: a draw from ``CN(0, sigma2)`` has independent real and
 imaginary parts of variance ``sigma2 / 2`` each, so ``E|x|^2 == sigma2``.
 
-The Bernoulli-Gaussian and Middleton Class A models are finite mixtures of
-zero-mean circularly-symmetric complex Gaussians and expose their component
-weights/variances for density evaluation.  The symmetric alpha-stable model
-has no density in closed form and no per-sample ground truth; its sampler
-returns ``labels=None``.
+Each spec samples itself: ``spec.sample(count, rng)``, like
+:func:`sample_noise`, returns ``(samples, labels)`` with uint8 labels, 1 where
+an impulse is present.  ``spec.thermal_power`` is the background power the
+receiver's LLRs assume after mitigation.  The Bernoulli-Gaussian and Middleton
+Class A models are finite mixtures of zero-mean circularly-symmetric complex
+Gaussians and expose their component weights/variances for density
+evaluation.  The symmetric alpha-stable model has no density in closed form
+and no per-sample ground truth; its labels are ``None``.
 
 Random state is always an explicit ``numpy.random.Generator``; there is no
 module-level RNG.
@@ -35,21 +38,52 @@ class BGNoise:
     ``CN(0, sigma_w2)``; with probability ``epsilon`` an impulse adds
     ``sigma_i2`` of extra power, giving ``CN(0, sigma_w2 + sigma_i2)``.
 
+    Impulses arrive in bursts: burst starts are Bernoulli with rate
+    ``epsilon / burst_len`` and each start contaminates ``burst_len``
+    consecutive samples (overlaps merge, bursts truncate at the block end),
+    so the marginal contamination rate is 1 - (1 - eps/burst_len)^burst_len,
+    within a few percent of ``epsilon`` for the burst lengths of interest
+    and exactly ``epsilon`` at the default ``burst_len=1``.
+
     Attributes:
         epsilon: Impulse probability in [0, 1].
         sigma_w2: Background (thermal) complex power, > 0.
         sigma_i2: Extra complex power of an impulse, > 0.
+        burst_len: Samples each impulse burst covers, >= 1.
     """
 
     epsilon: float
     sigma_w2: float
     sigma_i2: float
+    burst_len: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.sigma_w2 <= 0.0 or self.sigma_i2 <= 0.0:
             raise ValueError("variances must be strictly positive")
+        if self.burst_len < 1:
+            raise ValueError("burst_len must be at least 1")
+
+    @property
+    def thermal_power(self) -> float:
+        return self.sigma_w2
+
+    def mixture_weights(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The two component weights and their total-power variances."""
+        return (np.array([1.0 - self.epsilon, self.epsilon]),
+                np.array([self.sigma_w2, self.sigma_w2 + self.sigma_i2]))
+
+    def sample(self, count: int, rng: np.random.Generator
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """Draw ``count`` samples and their impulse labels."""
+        starts = rng.random(count) < self.epsilon / self.burst_len
+        labels = np.zeros(count, dtype=np.uint8)
+        for offset in range(min(self.burst_len, count)):
+            labels[offset:] |= starts[:count - offset]
+        sigma2 = np.where(labels == 1, self.sigma_w2 + self.sigma_i2,
+                          self.sigma_w2)
+        return complex_gaussian(rng, count, sigma2), labels
 
 
 @dataclass(frozen=True)
@@ -94,6 +128,27 @@ class MCANoise:
                 f"truncated Class A mass {mass:.6f} < {MCA_MIN_MASS}; "
                 f"increase j_trunc for overlap_a={self.overlap_a}")
 
+    @property
+    def thermal_power(self) -> float:
+        """The variance of the j = 0 term, the background alone."""
+        return mca_component(self.overlap_a, self.gamma, self.sigma_n2, 0)[1]
+
+    def mixture_weights(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The retained Poisson weights, renormalized to sum to 1, and the
+        total-power variances of their terms."""
+        pairs = [mca_component(self.overlap_a, self.gamma, self.sigma_n2, j)
+                 for j in range(self.j_trunc)]
+        weights = np.array([p for p, _ in pairs])
+        return weights / weights.sum(), np.array([v for _, v in pairs])
+
+    def sample(self, count: int, rng: np.random.Generator
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """Draw ``count`` samples; label 1 marks any term with j >= 1."""
+        weights, variances = self.mixture_weights()
+        term = rng.choice(self.j_trunc, size=count, p=weights)
+        return (complex_gaussian(rng, count, variances[term]),
+                (term >= 1).astype(np.uint8))
+
 
 @dataclass(frozen=True)
 class SASNoise:
@@ -122,22 +177,33 @@ class SASNoise:
         if self.scale <= 0.0:
             raise ValueError("scale must be strictly positive")
 
+    @property
+    def thermal_power(self) -> float:
+        """Power at alpha = 2, where each part is N(0, 2 scale^2)."""
+        return 4.0 * self.scale ** 2
+
+    def sample(self, count: int, rng: np.random.Generator
+               ) -> Tuple[np.ndarray, None]:
+        """Draw ``count`` samples, independent stable real and imaginary parts.
+
+        Each component is scale * X + loc with X a unit-scale stable variate
+        (for alpha = 1 the standard drift correction
+        ``loc + 2/pi * beta*scale*ln scale`` applies).  No labels: the model
+        carries no impulse indicator.
+        """
+        shift = self.loc
+        if abs(self.alpha - 1.0) < 1e-12:
+            shift += 2.0 / np.pi * self.beta * self.scale * math.log(self.scale)
+        parts = []
+        for _ in range(2):
+            u = (rng.random(count) - 0.5) * np.pi
+            w = rng.exponential(1.0, count)
+            parts.append(self.scale * standard_stable(self.alpha, self.beta, u, w)
+                         + shift)
+        return parts[0] + 1j * parts[1], None
+
 
 NoiseSpec = Union[BGNoise, MCANoise, SASNoise]
-
-
-@dataclass
-class LabeledNoiseBlock:
-    """A block of noise samples with per-sample contamination ground truth.
-
-    Attributes:
-        samples: Complex noise samples, shape (count,).
-        labels: uint8 array, 1 where an impulse is present, 0 otherwise.
-            ``None`` for stable noise, which has no impulse indicator.
-    """
-
-    samples: np.ndarray
-    labels: Optional[np.ndarray]
 
 
 def mca_component(overlap_a: float, gamma: float, sigma_n2: float,
@@ -153,70 +219,10 @@ def mca_component(overlap_a: float, gamma: float, sigma_n2: float,
     return weight, variance
 
 
-def mixture_weights(spec: NoiseSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Return normalized component weights and total-power variances.
-
-    For ``BGNoise`` this is the two-term mixture; for ``MCANoise`` the
-    truncated, renormalized Poisson weights.  Stable noise is not a Gaussian
-    mixture and is rejected.
-
-    Returns:
-        (weights, variances) as float arrays; weights sum to 1 exactly.
-    """
-    if isinstance(spec, BGNoise):
-        weights = np.array([1.0 - spec.epsilon, spec.epsilon])
-        variances = np.array([spec.sigma_w2, spec.sigma_w2 + spec.sigma_i2])
-        return weights, variances
-    if isinstance(spec, MCANoise):
-        pairs = [mca_component(spec.overlap_a, spec.gamma, spec.sigma_n2, j)
-                 for j in range(spec.j_trunc)]
-        weights = np.array([p for p, _ in pairs])
-        weights = weights / weights.sum()
-        variances = np.array([v for _, v in pairs])
-        return weights, variances
-    raise TypeError("stable noise has no Gaussian mixture representation")
-
-
 def complex_gaussian(rng: np.random.Generator, count: int, sigma2) -> np.ndarray:
     """Draw CN(0, sigma2) samples; sigma2 may be scalar or per-sample array."""
     scale = np.sqrt(np.asarray(sigma2, dtype=float) / 2.0)
     return scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
-
-
-def sample_bg(spec: BGNoise, count: int, rng: np.random.Generator,
-              burst_len: int = 1) -> LabeledNoiseBlock:
-    """Draw Bernoulli-Gaussian noise with per-sample impulse labels.
-
-    Impulses arrive in bursts: burst starts are Bernoulli with rate
-    ``epsilon / burst_len`` and each start contaminates ``burst_len``
-    consecutive samples (overlaps merge, bursts truncate at the block end),
-    so the marginal contamination rate is 1 - (1 - eps/burst_len)^burst_len,
-    within a few percent of ``epsilon`` for the burst lengths of interest
-    and exactly ``epsilon`` at the default ``burst_len=1``.
-    """
-    if burst_len < 1:
-        raise ValueError("burst_len must be at least 1")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    starts = rng.random(count) < spec.epsilon / burst_len
-    labels = np.zeros(count, dtype=np.uint8)
-    for offset in range(burst_len):
-        labels[offset:] |= starts[:count - offset]
-    sigma2 = np.where(labels == 1, spec.sigma_w2 + spec.sigma_i2, spec.sigma_w2)
-    samples = complex_gaussian(rng, count, sigma2)
-    return LabeledNoiseBlock(samples, labels)
-
-
-def sample_mca(spec: MCANoise, count: int,
-               rng: np.random.Generator) -> LabeledNoiseBlock:
-    """Draw Middleton Class A noise; label 1 marks any term with j >= 1."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    weights, variances = mixture_weights(spec)
-    term = rng.choice(spec.j_trunc, size=count, p=weights)
-    samples = complex_gaussian(rng, count, variances[term])
-    labels = (term >= 1).astype(np.uint8)
-    return LabeledNoiseBlock(samples, labels)
 
 
 def standard_stable(alpha: float, beta: float, u: np.ndarray,
@@ -241,40 +247,9 @@ def standard_stable(alpha: float, beta: float, u: np.ndarray,
             * (np.cos(u - angle) / w) ** ((1.0 - alpha) / alpha))
 
 
-def sample_sas(spec: SASNoise, count: int,
-               rng: np.random.Generator) -> LabeledNoiseBlock:
-    """Draw complex stable noise, independent stable real and imaginary parts.
-
-    Each component is scale * X + loc with X a unit-scale stable variate (for
-    alpha = 1 the standard drift correction ``loc + 2/pi * beta*scale*ln scale``
-    applies).  No labels: the model carries no impulse indicator.
-    """
+def sample_noise(spec: NoiseSpec, count: int, rng: np.random.Generator
+                 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Draw ``count`` samples of ``spec``: ``(samples, labels)``."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    parts = []
-    for _ in range(2):
-        u = (rng.random(count) - 0.5) * np.pi
-        w = rng.exponential(1.0, count)
-        x = standard_stable(spec.alpha, spec.beta, u, w)
-        if abs(spec.alpha - 1.0) < 1e-12:
-            shift = spec.loc + 2.0 / np.pi * spec.beta * spec.scale * math.log(spec.scale)
-        else:
-            shift = spec.loc
-        parts.append(spec.scale * x + shift)
-    samples = parts[0] + 1j * parts[1]
-    return LabeledNoiseBlock(samples, None)
-
-
-def sample_noise(spec: NoiseSpec, count: int,
-                 rng: np.random.Generator,
-                 burst_len: int = 1) -> LabeledNoiseBlock:
-    """Dispatch to the sampler matching ``spec`` (bursts for BG only)."""
-    if isinstance(spec, BGNoise):
-        return sample_bg(spec, count, rng, burst_len)
-    if burst_len > 1:
-        raise ValueError("burst sampling is defined for Bernoulli-Gaussian noise only")
-    if isinstance(spec, MCANoise):
-        return sample_mca(spec, count, rng)
-    if isinstance(spec, SASNoise):
-        return sample_sas(spec, count, rng)
-    raise TypeError(f"unknown noise spec {type(spec).__name__}")
+    return spec.sample(count, rng)

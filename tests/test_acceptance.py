@@ -27,8 +27,7 @@ from inofdm.coding import conv_encode, viterbi_decode_soft
 from inofdm.dnn import (N_PARAMS, AdamState, MlpParams, adam_step, blocks,
                         gradients, loss_value)
 from inofdm.features import FeatureNormalizer
-from inofdm.noise_models import (BGNoise, MCANoise, SASNoise, mixture_weights,
-                                 sample_bg, sample_mca, sample_sas)
+from inofdm.noise_models import BGNoise, MCANoise, SASNoise
 from inofdm.ofdm import OfdmConfig, ofdm_demodulate, ofdm_modulate, qpsk_map
 
 MODEL_PATH = Path(__file__).resolve().parent.parent / "models" / "detector.txt"
@@ -285,20 +284,20 @@ def test_criterion_5_numeric_suite():
 
     # Model variances at 1e6 samples, within 2%.
     n = 10 ** 6
-    bg = sample_bg(BGNoise(epsilon=0.1, sigma_w2=1.0, sigma_i2=10.0), n,
-                   np.random.default_rng(4))
-    assert np.mean(np.abs(bg.samples) ** 2) == pytest.approx(2.0, rel=0.02)
+    bg, _ = BGNoise(epsilon=0.1, sigma_w2=1.0, sigma_i2=10.0).sample(
+        n, np.random.default_rng(4))
+    assert np.mean(np.abs(bg) ** 2) == pytest.approx(2.0, rel=0.02)
     mca_spec = MCANoise(overlap_a=1.0, gamma=0.2, sigma_n2=1.0, j_trunc=10)
-    weights, variances = mixture_weights(mca_spec)
-    mca = sample_mca(mca_spec, n, np.random.default_rng(5))
-    assert np.mean(np.abs(mca.samples) ** 2) == pytest.approx(
+    weights, variances = mca_spec.mixture_weights()
+    mca, _ = mca_spec.sample(n, np.random.default_rng(5))
+    assert np.mean(np.abs(mca) ** 2) == pytest.approx(
         float(weights @ variances), rel=0.02)
 
     # alpha = 2 stable collapses to N(0, 2 scale^2) per real dimension.
-    sas = sample_sas(SASNoise(alpha=2.0, beta=0.0, scale=1.0), n,
-                     np.random.default_rng(6))
-    assert np.var(sas.samples.real) == pytest.approx(2.0, rel=0.02)
-    assert np.var(sas.samples.imag) == pytest.approx(2.0, rel=0.02)
+    sas, _ = SASNoise(alpha=2.0, beta=0.0, scale=1.0).sample(
+        n, np.random.default_rng(6))
+    assert np.var(sas.real) == pytest.approx(2.0, rel=0.02)
+    assert np.var(sas.imag) == pytest.approx(2.0, rel=0.02)
 
     # Threshold false-alarm calibration at 1e6 samples, within 10%.
     sigma2 = 1.7

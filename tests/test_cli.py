@@ -473,7 +473,18 @@ def test_infinite_class_a_noise_power_exits_2(cfg_file, tmp_path, monkeypatch,
     assert rc == 2
     err = capsys.readouterr().err
     assert "noise.gamma" in err and "infinite Class A noise power" in err
-    assert not list(tmp_path.glob("curves/*.csv"))
+    assert not (tmp_path / "curves").exists()
+
+
+def test_burst_longer_than_a_noise_block(tmp_path, capsys):
+    # A 32-symbol batch draws 34,816 noise samples at the default grid; a
+    # longer burst died with a numpy broadcast error naming no key.
+    out = tmp_path / "curves"
+    rc = run_cli("ber-sweep", "--set", "noise.burst_len=40000",
+                 "--set", "grid.ebn0_db=10", "--set", "sweep.policies=none",
+                 "--set", "sweep.max_bits=1", "--out", out)
+    assert rc == 0, capsys.readouterr().err
+    assert read_curve_csv(out / "curve_none.csv").points[0].bits > 0
 
 
 SHIPPED_MODEL = Path(__file__).resolve().parent.parent / "models" / "detector.txt"
@@ -496,6 +507,34 @@ def test_truncated_model_file_exits_2(cfg_file, tmp_path, monkeypatch, capsys,
     rc = run_cli(command, "--config", cfg_file, "--model", model, *args)
     assert rc == 2
     assert missing in capsys.readouterr().err
+
+
+#: (line index, token index, value, block): norm_std's first value, w1's second.
+_NON_FINITE = [(5, 0, "nan", "'norm_std'"), (7, 1, "inf", "'w1'")]
+
+
+@pytest.mark.parametrize("line, token, value, block", _NON_FINITE,
+                         ids=["nan-norm-std", "inf-w1"])
+@pytest.mark.parametrize("command, args", [
+    ("ber-sweep", ["--set", "sweep.policies=dnn", "--out", "curves"]),
+    ("evaluate", ["--detector", "dnn", "--symbols", "4"]),
+])
+def test_non_finite_model_file_exits_2(cfg_file, tmp_path, monkeypatch, capsys,
+                                       command, args, line, token, value,
+                                       block):
+    # Each of these ran: evaluate reported a detection rate of 0, and
+    # ber-sweep wrote dnn curves in which nothing was blanked.
+    monkeypatch.chdir(tmp_path)
+    lines = SHIPPED_MODEL.read_text().splitlines()
+    tokens = lines[line].split()
+    tokens[token] = value
+    lines[line] = " ".join(tokens)
+    model = tmp_path / "bad.txt"
+    model.write_text("\n".join(lines) + "\n")
+    rc = run_cli(command, "--config", cfg_file, "--model", model, *args)
+    assert rc == 2
+    assert f"block {block} holds a non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "curves").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-64"])

@@ -681,6 +681,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match="'w1' has 61 values"):
             load_model(tmp_path / "long_row.txt")
 
+    @pytest.mark.parametrize("line, value, block", [
+        (5, "nan", "'norm_std'"), (7, "inf", "'w1'"), (25, "-inf", "'w1'"),
+    ], ids=["nan-norm-std", "inf-w1", "minus-inf-w1"])
+    def test_rejects_non_finite_values(self, tmp_path, line, value, block):
+        # These loaded: a nan std makes every feature nan, which the network
+        # never flags, and an inf weight does the same.
+        lines = MODEL_PATH.read_text().splitlines(keepends=True)
+        lines[line] = f"{value} " + lines[line].split(" ", 1)[1]
+        path = tmp_path / "bad.txt"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"block {block} holds a non-finite"):
+            load_model(path)
+
     @pytest.mark.parametrize("keep, missing", [
         (0, "inofdm-model 1"), (1, "seed"), (3, "'norm_mean'"), (4, "'norm_std'"),
         (6, "'w1'"), (17, "'w1'"), (45, "'b3'"),
