@@ -47,8 +47,16 @@ def _load(args: argparse.Namespace,
     return config_mod.load_config(args.config, overrides)
 
 
+def _check_out_dirs(*paths) -> None:
+    """Fail before any work when an output file's directory is missing."""
+    for path in paths:
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"output directory of {str(path)!r} does not exist")
+
+
 def _cmd_gen_dataset(args: argparse.Namespace) -> int:
     cfg = _load(args)
+    _check_out_dirs(args.out)
     features, labels = link.generate_dataset(cfg)
     write_dataset(args.out, features, labels,
                   metadata={"config_hash": cfg.config_hash,
@@ -60,10 +68,11 @@ def _cmd_gen_dataset(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load(args)
+    loss_path = args.loss_out or (str(args.out) + ".loss.csv")
+    _check_out_dirs(args.out, loss_path)
     features, labels, meta = read_dataset(args.data)
     params, losses = dnn.train(features, labels, cfg.train_config)
     dnn.save_model(args.out, params)
-    loss_path = args.loss_out or (str(args.out) + ".loss.csv")
     with open(loss_path, "w", encoding="ascii") as fh:
         fh.write(f"# config_hash={cfg.config_hash}\n")
         fh.write(f"# seed={cfg.seed}\n")

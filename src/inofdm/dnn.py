@@ -65,13 +65,30 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, stable for large |x|."""
+def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None,
+            denom: Optional[np.ndarray] = None,
+            positive: Optional[np.ndarray] = None) -> np.ndarray:
+    """Logistic function, stable for large |x|.
+
+    ``out``, ``denom`` (float) and ``positive`` (bool), each of x's shape
+    and none of them x, take the result and the temporaries when given.
+    """
     x = np.asarray(x, dtype=float)
-    # exp(-|x|) never overflows.  np.minimum keeps x's own NaN, where
+    out = np.empty_like(x) if out is None else out
+    denom = np.empty_like(x) if denom is None else denom
+    positive = np.empty(x.shape, dtype=bool) if positive is None else positive
+    # e = exp(-|x|) never overflows.  np.minimum keeps x's own NaN, where
     # -np.abs(x) would flip its sign bit.
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    np.negative(x, out=out)
+    np.minimum(x, out, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=denom)
+    # 1 / (1 + e) for x >= 0, e / (1 + e) below: e <= 1, so the numerator
+    # is max(e, x >= 0), without a masked (slow) ufunc loop.
+    np.greater_equal(x, 0, out=positive)
+    np.maximum(out, positive, out=out)
+    np.divide(out, denom, out=out)
+    return out
 
 
 def xavier_init(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarray:
@@ -189,49 +206,125 @@ def loss_value(params: MlpParams, x: np.ndarray, y: np.ndarray,
     return float(bce + lam / (2.0 * m) * penalty)
 
 
-def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray,
-              lam: float) -> np.ndarray:
+class Workspace:
+    """Buffers of :func:`gradients` for up to ``rows`` rows: both hidden
+    layers' activations, their backward terms and ReLU masks, the output
+    layer's pre-activation and sigmoid temporaries, and the weight-decay
+    term of every parameter; also the layer views of the last gradient
+    vector it was used with."""
+
+    def __init__(self, rows: int) -> None:
+        hidden = [(rows, width) for width in LAYER_SIZES[1:3]]
+        self.a1, self.a2 = (np.empty(shape) for shape in hidden)
+        self.d1, self.d2 = (np.empty(shape) for shape in hidden)
+        self.on1, self.on2 = (np.empty(shape, dtype=bool) for shape in hidden)
+        self.z3 = np.empty((rows, LAYER_SIZES[3]))
+        self.dz3, self.denom = np.empty(rows), np.empty(rows)
+        self.positive = np.empty(rows, dtype=bool)
+        self.decay = np.empty(N_PARAMS)
+        self.decay_blocks = blocks(self.decay)
+        self._grad, self._grad_blocks = None, {}
+
+    def grad_blocks(self, grad: np.ndarray) -> Dict[str, np.ndarray]:
+        """:func:`blocks` of ``grad``, made once per gradient vector."""
+        if grad is not self._grad:
+            self._grad, self._grad_blocks = grad, blocks(grad)
+        return self._grad_blocks
+
+
+def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray, lam: float,
+              out: Optional[np.ndarray] = None,
+              work: Optional[Workspace] = None) -> np.ndarray:
     """Analytic gradient of :func:`loss_value`, a (N_PARAMS,) vector.
 
-    ReLU uses subgradient 0 at exactly 0; biases carry no L2 term.
+    ReLU uses subgradient 0 at exactly 0; biases carry no L2 term.  The
+    gradient goes into ``out`` and every temporary into ``work`` (of at
+    least len(y) rows) when given, so a loop that passes both allocates no
+    array per call; the result is the same either way.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = len(y)
-    yhat, z1, a1, z2, a2 = _forward_cached(params, x)
-    grad = np.empty(N_PARAMS)
-    g = blocks(grad)
-    dz3 = ((yhat - y) / m)[:, None]                      # (m, 1)
-    g["w3"][...] = dz3.T @ a2 + (lam / m) * params.w3
-    g["b3"][...] = dz3.sum(axis=0)
-    dz2 = (dz3 @ params.w3) * (z2 > 0)                   # (m, 10)
-    g["w2"][...] = dz2.T @ a1 + (lam / m) * params.w2
-    g["b2"][...] = dz2.sum(axis=0)
-    dz1 = (dz2 @ params.w2) * (z1 > 0)                   # (m, 20)
-    g["w1"][...] = dz1.T @ x + (lam / m) * params.w1
-    g["b1"][...] = dz1.sum(axis=0)
-    return grad
+    out = np.empty(N_PARAMS) if out is None else out
+    work = Workspace(m) if work is None else work
+    a1, a2, d1, d2, on1, on2, z3, dz3, denom, positive = (
+        buf[:m] for buf in (work.a1, work.a2, work.d1, work.d2, work.on1,
+                            work.on2, work.z3, work.dz3, work.denom,
+                            work.positive))
+    # Forward, as _forward_cached, with each layer's z > 0 kept as a mask.
+    np.matmul(x, params.w1.T, out=a1)
+    a1 += params.b1
+    np.greater(a1, 0.0, out=on1)
+    np.maximum(a1, 0.0, out=a1)
+    np.matmul(a1, params.w2.T, out=a2)
+    a2 += params.b2
+    np.greater(a2, 0.0, out=on2)
+    np.maximum(a2, 0.0, out=a2)
+    np.matmul(a2, params.w3.T, out=z3)
+    z3 += params.b3
+    sigmoid(z3[:, 0], out=dz3, denom=denom, positive=positive)   # yhat
+    # Backward.
+    g = work.grad_blocks(out)
+    np.multiply(params.theta, lam / m, out=work.decay)
+    decay = work.decay_blocks
+    dz3 -= y
+    dz3 /= m
+    dz3 = dz3[:, None]                                   # (m, 1)
+    np.matmul(dz3.T, a2, out=g["w3"])
+    g["w3"] += decay["w3"]
+    np.add.reduce(dz3, axis=0, out=g["b3"])
+    np.matmul(dz3, params.w3, out=d2)                    # (m, 10)
+    d2 *= on2
+    np.matmul(d2.T, a1, out=g["w2"])
+    g["w2"] += decay["w2"]
+    np.add.reduce(d2, axis=0, out=g["b2"])
+    np.matmul(d2, params.w2, out=d1)                     # (m, 20)
+    d1 *= on1
+    np.matmul(d1.T, x, out=g["w1"])
+    g["w1"] += decay["w1"]
+    np.add.reduce(d1, axis=0, out=g["b1"])
+    return out
 
 
 @dataclass
 class AdamState:
-    """Learning rate, flat first/second moments and the shared step counter."""
+    """Learning rate, flat first/second moments, the shared step counter
+    and two (N_PARAMS,) buffers for :func:`adam_step`."""
 
     eta: float
     moment1: np.ndarray = field(default_factory=lambda: np.zeros(N_PARAMS))
     moment2: np.ndarray = field(default_factory=lambda: np.zeros(N_PARAMS))
     step: int = 0
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, N_PARAMS)),
+                                init=False, repr=False, compare=False)
 
 
-def adam_step(state: AdamState, params: MlpParams, grad: np.ndarray) -> MlpParams:
-    """One Adam update; ``state`` advances in place, its counter first."""
+def adam_step(state: AdamState, params: MlpParams, grad: np.ndarray,
+              out: Optional[MlpParams] = None) -> MlpParams:
+    """One Adam update; ``state`` advances in place, its counter first.
+
+    The updated parameters go into ``out`` when given (``params`` itself
+    updates in place) and into a new :class:`MlpParams` otherwise; the
+    values are the same either way, and the moments update in place.
+    """
     state.step += 1
-    state.moment1 = ADAM_BETA1 * state.moment1 + (1 - ADAM_BETA1) * grad
-    state.moment2 = ADAM_BETA2 * state.moment2 + (1 - ADAM_BETA2) * grad ** 2
-    m_hat = state.moment1 / (1.0 - ADAM_BETA1 ** state.step)
-    v_hat = state.moment2 / (1.0 - ADAM_BETA2 ** state.step)
-    delta = state.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return replace(params, theta=params.theta - delta)
+    term, delta = state.scratch
+    state.moment1 *= ADAM_BETA1
+    state.moment1 += np.multiply(grad, 1 - ADAM_BETA1, out=term)
+    state.moment2 *= ADAM_BETA2
+    np.square(grad, out=term)
+    term *= 1 - ADAM_BETA2
+    state.moment2 += term
+    # delta = eta * m_hat / (sqrt(v_hat) + eps)
+    np.divide(state.moment2, 1.0 - ADAM_BETA2 ** state.step, out=term)
+    np.sqrt(term, out=term)
+    term += ADAM_EPS
+    np.divide(state.moment1, 1.0 - ADAM_BETA1 ** state.step, out=delta)
+    delta *= state.eta
+    delta /= term
+    out = replace(params) if out is None else out
+    np.subtract(params.theta, delta, out=out.theta)
+    return out
 
 
 @dataclass(frozen=True)
@@ -280,12 +373,21 @@ def train(features: np.ndarray, labels: np.ndarray,
     state = AdamState(eta=cfg.eta)
     losses: List[float] = []
     n_rows = len(labels)
+    # One minibatch, gradient and workspace for every step; Adam updates
+    # params in place.
+    rows = min(cfg.batch_size, n_rows)
+    x_batch, y_batch = np.empty((rows, LAYER_SIZES[0])), np.empty(rows)
+    grad, work = np.empty(N_PARAMS), Workspace(rows)
     for _ in range(cfg.epochs):
         order = rng.permutation(n_rows)
         for start in range(0, n_rows, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            grad = gradients(params, x[batch], labels[batch], cfg.lam)
-            params = adam_step(state, params, grad)
+            k = len(batch)
+            np.take(x, batch, axis=0, out=x_batch[:k], mode="clip")
+            np.take(labels, batch, out=y_batch[:k], mode="clip")
+            gradients(params, x_batch[:k], y_batch[:k], cfg.lam, out=grad,
+                      work=work)
+            adam_step(state, params, grad, out=params)
         epoch_loss = loss_value(params, x, labels, cfg.lam)
         if not np.isfinite(epoch_loss):
             raise FloatingPointError(

@@ -35,12 +35,16 @@ magnitudes), so they share no sort.
 
 from __future__ import annotations
 
+import os
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
+
+from . import workers
 
 #: Default window half-width.
 DEFAULT_HALF_WIDTH = 5
@@ -206,20 +210,43 @@ def apply_normalizer(features: np.ndarray,
 # Labeled dataset file format
 #
 # Plain text: '#'-prefixed key=value metadata lines, one 'x1,x2,x3,label'
-# header, then one CSV row per sample.  Floats use 17 significant digits so
-# a write/read round trip is exact.
+# header, then one CSV row per sample, its label 0 or 1.  Floats use 17
+# significant digits so a write/read round trip is exact.
 #
-# The writer formats DATASET_BLOCK_ROWS rows at a time with one '%'-format
-# string per block ('%.17g' gives the same text as the f-string spec
-# '{:.17g}').  The reader parses the metadata and the header line by line,
-# then hands the rest of the open file to numpy's C text parser
-# (np.loadtxt), which rounds correctly and needs no per-row Python objects.
+# Both directions run on forked workers, one per usable CPU (see
+# inofdm.workers), and give the same file and arrays on any CPU count.  The
+# writer formats DATASET_BLOCK_ROWS rows per job, from the arrays the
+# workers inherit at the fork, with one '%'-format string ('%.17g' gives
+# the same text as the f-string spec '{:.17g}'); at most two blocks per
+# worker are in flight, and the parent writes them in file order.  The
+# reader parses the metadata and the header line by line, then splits the
+# data rows at line starts into one byte range per worker (each of at least
+# DATASET_BLOCK_ROWS lines) and counts their lines.  A worker reads its
+# range a line at a time into numpy's C text parser (np.loadtxt, which
+# rounds correctly and needs no per-row Python objects) and copies the rows
+# to their place in one array in a shared mapping, which the returned
+# arrays view.  With one usable CPU the parser reads all rows in place.
+# A row that is not four numbers, or whose label is not 0 or 1, raises a
+# ValueError that names its line in the file.
 
-#: Rows formatted per write call of :func:`write_dataset`.
+#: Rows formatted per job of :func:`write_dataset`, and the fewest data
+#: lines per worker of :func:`read_dataset`.
 DATASET_BLOCK_ROWS = 4096
 
 _DATASET_HEADER = "x1,x2,x3,label"
 _DATASET_ROW = "%.17g,%.17g,%.17g,%d\n"
+#: Bytes per read while :func:`read_dataset` counts lines.
+_COUNT_PIECE = 1 << 20
+
+
+def _format_rows(state: tuple, start: int) -> str:
+    """Text of the block of rows of ``state`` (features, labels) that
+    starts at row ``start``."""
+    features, labels = state
+    stop = start + DATASET_BLOCK_ROWS
+    columns = features[start:stop].T.tolist()
+    values = chain.from_iterable(zip(*columns, labels[start:stop].tolist()))
+    return _DATASET_ROW * len(columns[0]) % tuple(values)
 
 
 def write_dataset(path, features: np.ndarray, labels: np.ndarray,
@@ -239,15 +266,91 @@ def write_dataset(path, features: np.ndarray, labels: np.ndarray,
         raise ValueError("features must have shape (rows, 3)")
     if labels.shape != (features.shape[0],):
         raise ValueError("labels must match the feature rows")
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        raise ValueError(f"labels must be 0 or 1, row {bad[0]} holds "
+                         f"{labels[bad[0]]}")
     with open(path, "w", encoding="ascii") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}={value}\n")
         fh.write(_DATASET_HEADER + "\n")
-        for start in range(0, len(labels), DATASET_BLOCK_ROWS):
-            stop = start + DATASET_BLOCK_ROWS
-            columns = features[start:stop].T.tolist()
-            values = chain.from_iterable(zip(*columns, labels[start:stop].tolist()))
-            fh.write(_DATASET_ROW * len(columns[0]) % tuple(values))
+        blocks = workers.ordered_map(
+            _format_rows, [(start,) for start in
+                           range(0, len(labels), DATASET_BLOCK_ROWS)],
+            (features, labels))
+        with closing(blocks):
+            for text in blocks:
+                fh.write(text)
+
+
+def _count_lines(fh, start: int, stop: int) -> int:
+    """Lines of the binary file ``fh`` that start in [start, stop), when
+    ``stop`` is a line start or the end of the file."""
+    fh.seek(start)
+    count, left, piece = 0, stop - start, b"\n"
+    while left:
+        piece = fh.read(min(left, _COUNT_PIECE))
+        count += piece.count(b"\n")
+        left -= len(piece)
+    return count + (not piece.endswith(b"\n"))
+
+
+def _line_start(fh, pos: int) -> int:
+    """The first line start at or after byte ``pos`` > 0 of ``fh``."""
+    fh.seek(pos - 1)
+    fh.readline()
+    return fh.tell()
+
+
+def _raise_bad_line(path, lines: Iterable[str], first_line: int) -> None:
+    """Raise a ValueError naming the first of ``lines`` (numbered from
+    ``first_line``) that is not a dataset row."""
+    for line_no, line in enumerate(lines, first_line):
+        if not line.split("#", 1)[0].strip():
+            continue    # blank or comment, as np.loadtxt skips them
+        try:
+            row = np.loadtxt([line], delimiter=",", ndmin=2)
+        except ValueError as exc:
+            reason = str(exc)
+        else:
+            if row.shape[1] != 4:
+                reason = f"dataset rows must hold 4 values, got {row.shape[1]}"
+            elif row[0, 3] not in (0.0, 1.0):
+                reason = f"label {row[0, 3]:g} is not 0 or 1"
+            else:
+                continue
+        raise ValueError(f"{path}, line {line_no}: {reason}")
+    raise ValueError(f"{path}: malformed rows from line {first_line}")
+
+
+def _parse_range(path, start: int, n_lines: Optional[int],
+                 first_line: int) -> np.ndarray:
+    """The dataset rows of the ``n_lines`` lines (all, for None) from byte
+    ``start`` of ``path``, the first of them line ``first_line``."""
+    # Text lines, split at '\n' alone as the line count was: np.loadtxt
+    # parses them about twice as fast as bytes lines.
+    with open(path, "r", encoding="ascii", newline="\n") as fh:
+        fh.seek(start)
+        try:
+            rows = np.loadtxt(islice(fh, n_lines), delimiter=",", ndmin=2)
+        except ValueError:
+            rows = None
+        if rows is None or rows.size and (
+                rows.shape[1] != 4
+                or not ((rows[:, 3] == 0) | (rows[:, 3] == 1)).all()):
+            fh.seek(start)
+            _raise_bad_line(path, islice(fh, n_lines), first_line)
+    return rows
+
+
+def _parse_rows(state: tuple, start: int, n_lines: int, row0: int) -> int:
+    """Parse a range of the dataset ``state`` (path, file line of data row
+    0, rows array) into its rows from ``row0``, which ``row0`` lines
+    precede; returns the rows parsed."""
+    path, data_line, out = state
+    rows = _parse_range(path, start, n_lines, data_line + row0)
+    out[row0:row0 + len(rows)] = rows
+    return len(rows)
 
 
 def read_dataset(path) -> Tuple[np.ndarray, np.ndarray, Dict[str, str]]:
@@ -258,13 +361,16 @@ def read_dataset(path) -> Tuple[np.ndarray, np.ndarray, Dict[str, str]]:
 
     Raises:
         ValueError: On a missing or wrong header, or a data row that does
-            not hold exactly four numbers.
+            not hold exactly four numbers with a label of 0 or 1; a row's
+            error names its line in the file.
     """
     metadata: Dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         header_seen = False
-        for line in fh:
-            text = line.strip()
+        line_no = data_line = 0
+        for raw in iter(fh.readline, b""):
+            line_no += 1
+            text = raw.decode("ascii").strip()
             if not text:
                 continue
             if text.startswith("#"):
@@ -272,16 +378,38 @@ def read_dataset(path) -> Tuple[np.ndarray, np.ndarray, Dict[str, str]]:
                 metadata[key.strip()] = value.strip()
                 continue
             if header_seen:
-                break  # the first data row
+                data_line = line_no     # the first data row
+                break
             if text != _DATASET_HEADER:
                 raise ValueError(f"unexpected dataset header: {text!r}")
             header_seen = True
-        else:
-            if not header_seen:
-                raise ValueError("dataset file has no header line")
+        if not header_seen:
+            raise ValueError("dataset file has no header line")
+        if not data_line:
             return np.empty((0, 3)), np.empty(0, dtype=np.uint8), metadata
-        data = np.loadtxt(chain([line], fh), delimiter=",", dtype=float,
-                          ndmin=2)
-    if data.shape[1] != 4:
-        raise ValueError(f"dataset rows must hold 4 values, got {data.shape[1]}")
+        start = fh.tell() - len(raw)
+        cpus = workers._usable_cpus()
+        if cpus == 1:   # one range: no line count, no shared array
+            data = _parse_range(path, start, None, data_line)
+            return data[:, :3], data[:, 3].astype(np.uint8), metadata
+        # One range per CPU, then neighbours merged into n_parts ranges of
+        # at least DATASET_BLOCK_ROWS lines each.
+        size = fh.seek(0, os.SEEK_END)
+        bounds = [start, *(_line_start(fh, start + i * (size - start) // cpus)
+                           for i in range(1, cpus)), size]
+        counts = [_count_lines(fh, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        lines = sum(counts)
+        n_parts = min(cpus, -(-lines // DATASET_BLOCK_ROWS))
+        edges = [i * cpus // n_parts for i in range(n_parts + 1)]
+        jobs, row0 = [], 0
+        for lo, hi in zip(edges, edges[1:]):
+            n_lines = sum(counts[lo:hi])
+            if n_lines:
+                jobs.append((bounds[lo], n_lines, row0))
+                row0 += n_lines
+    data = workers.shared_array((lines, 4), float)
+    counts = list(workers.ordered_map(_parse_rows, jobs, (path, data_line, data)))
+    if sum(counts) < lines:     # blank or comment lines among the rows
+        data = np.concatenate([data[row0:row0 + count]
+                               for (_, _, row0), count in zip(jobs, counts)])
     return data[:, :3], data[:, 3].astype(np.uint8), metadata

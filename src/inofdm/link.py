@@ -43,13 +43,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import workers
 from .coding import (CODE_RATE, N_TAIL, conv_encode, deinterleave,
                      interleave, viterbi_decode_soft)
 from .config import ExperimentConfig
@@ -214,14 +214,36 @@ def receive_batch(cfg: ExperimentConfig, batch: SymbolBatch,
 # Labeled dataset generation
 
 
+def _dataset_point(state: tuple, ci: int) -> None:
+    """Simulate training-grid point ``ci`` of the dataset ``state`` (cfg,
+    grid, first row of every point, features, labels) into its rows."""
+    cfg, combos, starts, features, labels = state
+    ebn0, sir, eps = combos[ci]
+    point_cfg = dc_replace(cfg, noise_model="bg", sir_db=sir, epsilon=eps,
+                           burst_len=1, time_interleaver=None)
+    rng = np.random.default_rng(np.random.SeedSequence(
+        (cfg.seed, _TAG_DATASET, ci)))
+    count = (starts[ci + 1] - starts[ci]) // cfg.ofdm.n_fft
+    batch = simulate_batch(point_cfg, ebn0, count, rng)
+    rows = slice(starts[ci], starts[ci + 1])
+    features[rows] = detector_features(batch.rx, cfg.half_width,
+                                       estimate_clean_power(batch.rx)
+                                       ).reshape(-1, 3)
+    labels[rows] = batch.labels.reshape(-1)
+
+
 def generate_dataset(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Features and labels for training, over the mixture-noise grid.
 
     ``cfg.train_symbols`` OFDM symbols are spread round-robin over the
     training grid and run through the plain chain (no time interleaver);
     features come from the receiver's time-domain bodies before any
-    mitigation, prefix samples excluded.  Rows are shuffled with a seed
-    derived from the master seed, so the on-disk order is deterministic.
+    mitigation, prefix samples excluded.  Every grid point draws from its
+    own seed, so the points run on forked workers (see
+    :mod:`inofdm.workers`), each into its own rows of one shared array.
+    Rows are then shuffled with a seed derived from the master seed, so
+    the on-disk order is deterministic and does not depend on the CPU
+    count.
 
     Returns:
         (features, labels) with ``cfg.train_symbols * n_fft`` rows.
@@ -232,23 +254,17 @@ def generate_dataset(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
         raise ValueError("train.symbols must cover the grid at least once")
     base = cfg.train_symbols // len(combos)
     extra = cfg.train_symbols % len(combos)
-    feature_parts = []
-    label_parts = []
-    for ci, (ebn0, sir, eps) in enumerate(combos):
-        count = base + (1 if ci < extra else 0)
-        point_cfg = dc_replace(cfg, noise_model="bg", sir_db=sir, epsilon=eps,
-                               burst_len=1, time_interleaver=None)
-        rng = np.random.default_rng(np.random.SeedSequence(
-            (cfg.seed, _TAG_DATASET, ci)))
-        batch = simulate_batch(point_cfg, ebn0, count, rng)
-        feats = detector_features(batch.rx, cfg.half_width,
-                                  estimate_clean_power(batch.rx))
-        feature_parts.append(feats.reshape(-1, 3))
-        label_parts.append(batch.labels.reshape(-1))
-    features = np.concatenate(feature_parts, axis=0)
-    labels = np.concatenate(label_parts, axis=0)
+    starts = [0]
+    for ci in range(len(combos)):
+        starts.append(starts[-1] + (base + (ci < extra)) * cfg.ofdm.n_fft)
+    features = workers.shared_array((starts[-1], 3), float)
+    labels = workers.shared_array((starts[-1],), np.uint8)
+    for _ in workers.ordered_map(_dataset_point,
+                                 [(ci,) for ci in range(len(combos))],
+                                 (cfg, combos, starts, features, labels)):
+        pass
     order = np.random.default_rng(np.random.SeedSequence(
-        (cfg.seed, _TAG_SHUFFLE))).permutation(len(labels))
+        (cfg.seed, _TAG_SHUFFLE))).permutation(starts[-1])
     return features[order], labels[order]
 
 
@@ -291,30 +307,6 @@ def _sweep_batch(cfg: ExperimentConfig, ebn0: float, point_idx: int,
     batch = simulate_batch(cfg, ebn0, BATCH_SYMBOLS, rng)
     return batch.tx_bits, [receive_llrs(cfg, batch, cleaned) for cleaned in
                            mitigate(batch.rx, names, settings)]
-
-
-def _usable_cpus() -> int:
-    """CPUs in this process's affinity mask; 1 where there is none."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _init_worker() -> None:
-    """Set up a forked chunk worker with one OpenBLAS thread, since the
-    workers already fill every CPU (BLAS threads of their own spin against
-    the other workers: twice the CPU time per sweep)."""
-    import ctypes
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            paths = {line.split(maxsplit=5)[-1].rstrip("\n") for line in fh
-                     if "openblas" in line}
-        for library in map(ctypes.CDLL, paths):
-            for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                         "scipy_openblas_set_num_threads",
-                         "scipy_openblas_set_num_threads64_"):
-                if hasattr(library, name):
-                    getattr(library, name)(ctypes.c_int(1))
-    except OSError:
-        pass    # no /proc, or a library that cannot be opened: threads stay
 
 
 def _sweep_chunk(context: tuple, ebn0: float, point_idx: int, first: int,
@@ -379,7 +371,7 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
     context = (cfg, names, DetectorSettings(cfg.p_fa, params, cfg.half_width))
     ahead = -(-DECODE_ROWS // (BATCH_SYMBOLS * len(names)))
     budget = -(-cfg.max_bits // batch_bits)
-    cpus = min(_usable_cpus(), budget)   # no chunk is shorter than a batch
+    cpus = min(workers._usable_cpus(), budget)   # no chunk is shorter than a batch
     pool = None
     try:
         for point_idx, ebn0 in enumerate(cfg.ebn0_db):
@@ -404,13 +396,7 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
                     if chunk < 1:
                         break
                     if pending and pool is None:
-                        # Imported here: at module level they would add
-                        # about 20 ms to every start of the program.
-                        from concurrent.futures import ProcessPoolExecutor
-                        from multiprocessing import get_context
-                        pool = ProcessPoolExecutor(
-                            cpus, get_context("fork"),
-                            initializer=_init_worker)
+                        pool = workers.fork_pool(cpus)
                         pending = deque((args, pool.submit(_sweep_chunk, *args))
                                         for args, _ in pending)
                     args = (context, ebn0, point_idx, dispatched, chunk)

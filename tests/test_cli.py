@@ -2,6 +2,7 @@
 scaled-down link, byte-identical reruns under a fixed seed, and config
 diagnostics that name the offending key."""
 
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from inofdm import cli, dnn, link, workers
 from inofdm import config as config_mod
 from inofdm.cli import main
 from inofdm.dnn import load_model
@@ -125,6 +127,70 @@ def test_train_reruns_are_byte_identical(cfg_file, tmp_path):
             "--loss-out", tmp_path / "l2.csv")
     assert m1.read_bytes() == m2.read_bytes()
     assert (tmp_path / "l1.csv").read_bytes() == (tmp_path / "l2.csv").read_bytes()
+
+
+def test_recipe_does_not_depend_on_the_cpu_count(cfg_file, tmp_path,
+                                                  monkeypatch):
+    # 72 symbols of 128 samples: 9,216 rows, three dataset blocks, so every
+    # stage of the recipe forks with two or three CPUs.
+    outputs, pools = {}, []
+    real_fork_pool = workers.fork_pool
+    monkeypatch.setattr(workers, "fork_pool", lambda n, state=(): (
+        pools.append(n), real_fork_pool(n, state))[1])
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+        pools.clear()
+        out = tmp_path / f"cpus{cpus}"
+        out.mkdir()
+        assert run_cli("gen-dataset", "--config", cfg_file, "--set",
+                       "train.symbols=72", "--out", out / "data.csv") == 0
+        assert run_cli("train", "--config", cfg_file, "--set",
+                       "train.epochs=2", "--data", out / "data.csv",
+                       "--out", out / "model.txt") == 0
+        assert multiprocessing.active_children() == []
+        # Simulation, writer and reader, each on every CPU.
+        assert pools == ([] if cpus == 1 else [cpus] * 3), cpus
+        outputs[cpus] = [(out / name).read_bytes() for name in
+                         ("data.csv", "model.txt", "model.txt.loss.csv")]
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+
+@pytest.mark.parametrize("label", ["2", "-1", "0.5"])
+def test_train_rejects_labels_other_than_0_and_1(tmp_path, capsys, label):
+    # The reader turned -1 into 255 and 0.5 into 0, and train wrote a model.
+    data = tmp_path / "data.csv"
+    rows = "".join(f"0.{i},1.{i},2.{i},{i % 2}\n" for i in range(600))
+    data.write_text("x1,x2,x3,label\n" + rows + f"9,9,9,{label}\n")
+    rc = run_cli("train", "--set", "train.epochs=1", "--data", data,
+                 "--out", tmp_path / "model.txt")
+    assert rc == 2
+    assert "line 602: label" in capsys.readouterr().err
+    assert not (tmp_path / "model.txt").exists()
+
+
+@pytest.mark.parametrize("command, args, missing", [
+    ("gen-dataset", ["--out", "nodir/data.csv"], "nodir/data.csv"),
+    ("train", ["--data", "data.csv", "--out", "nodir/model.txt"],
+     "nodir/model.txt"),
+    ("train", ["--data", "data.csv", "--out", "model.txt", "--loss-out",
+               "nodir/loss.csv"], "nodir/loss.csv"),
+])
+def test_missing_output_directory_exits_2_before_any_work(
+        cfg_file, tmp_path, monkeypatch, capsys, command, args, missing):
+    # train found it only after every epoch, gen-dataset after simulating.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("x1,x2,x3,label\n1,2,3,0\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output check")
+    for module, name in ((link, "generate_dataset"), (dnn, "train"),
+                         (cli, "read_dataset")):
+        monkeypatch.setattr(module, name, no_work)
+    rc = run_cli(command, "--config", cfg_file, *args)
+    assert rc == 2
+    assert missing in capsys.readouterr().err
+    assert not (tmp_path / "nodir").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "small.cfg"]
 
 
 # ---------------------------------------------------------------------------

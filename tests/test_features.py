@@ -1,5 +1,7 @@
 """Tests for the per-sample detector features and the dataset file format."""
 
+import concurrent.futures
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inofdm import workers
 from inofdm.features import (
     DATASET_BLOCK_ROWS,
     DETECTOR_BLOCK_ROWS,
@@ -425,3 +428,94 @@ def test_dataset_reader_rejects_missing_header(tmp_path):
     path.write_text("# seed=1\n\n")
     with pytest.raises(ValueError, match="no header"):
         read_dataset(path)
+
+
+def _on_cpus(monkeypatch, cpus, call, *args):
+    """``call(*args)`` with ``cpus`` usable CPUs; returns its result and the
+    (workers, start method) of every pool it made, and checks that no
+    worker outlives the call, also when it raises."""
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+    pools = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def pool(n_workers, mp_context, **kwargs):
+        pools.append((n_workers, mp_context.get_start_method()))
+        return real_pool(n_workers, mp_context, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    try:
+        return call(*args), pools
+    finally:
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("rows", [0, 1, DATASET_BLOCK_ROWS - 1, DATASET_BLOCK_ROWS,
+                                  DATASET_BLOCK_ROWS + 1, 3 * DATASET_BLOCK_ROWS])
+def test_dataset_files_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path, rows):
+    rng = np.random.default_rng(rows + 1)
+    feats = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+    labels = rng.integers(0, 2, rows).astype(np.uint8)
+    meta = {"seed": "7"}
+    per_row_writer(tmp_path / "ref.csv", feats, labels, meta)
+    blocks = -(-rows // DATASET_BLOCK_ROWS)
+    for cpus in (1, 2, 3):
+        path = tmp_path / f"cpus{cpus}.csv"
+        _, pools = _on_cpus(monkeypatch, cpus, write_dataset, path, feats,
+                            labels, meta)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), cpus
+        # One worker per block at most, and nothing forked for one.
+        forked = min(cpus, blocks)
+        assert pools == ([(forked, "fork")] if forked > 1 else []), cpus
+        (got_f, got_l, got_meta), pools = _on_cpus(monkeypatch, cpus,
+                                                   read_dataset, path)
+        np.testing.assert_array_equal(got_f, feats)
+        np.testing.assert_array_equal(np.signbit(got_f), np.signbit(feats))
+        np.testing.assert_array_equal(got_l, labels)
+        assert got_l.dtype == np.uint8 and got_meta == meta
+        assert pools == ([(forked, "fork")] if forked > 1 else []), cpus
+
+
+def _rows_text(rows, labels):
+    return "".join(f"{i}.5,{i},-{i},{label}\n" for i, label in zip(range(rows), labels))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_reader_takes_a_last_row_without_newline_and_blank_lines(
+        monkeypatch, tmp_path, cpus):
+    rows = 2 * DATASET_BLOCK_ROWS + 5
+    labels = np.random.default_rng(3).integers(0, 2, rows)
+    text = _rows_text(rows, labels)
+    lines = text.splitlines(keepends=True)
+    # Blank and comment lines inside every worker's range, and at the end.
+    for at in (7, DATASET_BLOCK_ROWS + 3, 2 * DATASET_BLOCK_ROWS):
+        lines.insert(at, "\n" if at % 2 else "# note\n")
+    path = tmp_path / "d.csv"
+    path.write_text("x1,x2,x3,label\n" + "".join(lines).rstrip("\n") + "\n\n")
+    (feats, got, _), _ = _on_cpus(monkeypatch, cpus, read_dataset, path)
+    np.testing.assert_array_equal(got, labels)
+    np.testing.assert_array_equal(feats[:, 1], np.arange(rows))
+    path.write_text("x1,x2,x3,label\n" + text.rstrip("\n"))
+    (feats, got, _), _ = _on_cpus(monkeypatch, cpus, read_dataset, path)
+    np.testing.assert_array_equal(got, labels)
+    np.testing.assert_array_equal(feats[:, 2], -np.arange(rows))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("bad", ["1,2,x,0", "1,2,3", "1,2,3,0,9", "1,2,3,2",
+                                 "1,2,3,-1", "1,2,3,0.5", "1,2,3,nan"])
+def test_reader_names_the_file_line_of_a_bad_last_row(monkeypatch, tmp_path,
+                                                       cpus, bad):
+    rows = 2 * DATASET_BLOCK_ROWS + 1
+    path = tmp_path / "d.csv"
+    path.write_text("# seed=1\nx1,x2,x3,label\n"
+                    + _rows_text(rows - 1, np.zeros(rows - 1, int)) + bad + "\n")
+    # Line 1 is metadata, line 2 the header.
+    with pytest.raises(ValueError, match=f"line {rows + 2}: "):
+        _on_cpus(monkeypatch, cpus, read_dataset, path)
+
+
+@pytest.mark.parametrize("label", [-1, 0.5, 2, np.nan])
+def test_writer_rejects_labels_other_than_0_and_1(tmp_path, label):
+    labels = np.array([0, 1, label, 1], dtype=float)
+    with pytest.raises(ValueError, match="row 2"):
+        write_dataset(tmp_path / "x.csv", np.zeros((4, 3)), labels)
+    assert not (tmp_path / "x.csv").exists()

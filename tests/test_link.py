@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from inofdm import config as config_mod
-from inofdm import dnn, link
+from inofdm import dnn, link, workers
 from inofdm.coding import viterbi_decode_soft
 from inofdm.mitigation import DetectorSettings, mitigate
 from inofdm.noise_models import BGNoise, MCANoise, SASNoise, sample_noise
@@ -489,7 +489,7 @@ def _counting(monkeypatch, name, record):
     """Wrap ``link.<name>`` so each call appends its positional arguments
     to ``record``.  A call made in a forked worker would not reach
     ``record``, so this also pins the sweep to one usable CPU."""
-    monkeypatch.setattr(link, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
     inner = getattr(link, name)
 
     def wrapped(*args, **kwargs):
@@ -541,7 +541,7 @@ def test_later_chunks_follow_the_observed_error_rate(monkeypatch):
 def _sweep_on(monkeypatch, cpus, cfg, params=None):
     """Sweep with ``cpus`` usable CPUs; returns the curves as tuples, the
     log lines, and (workers, start method) of every pool the sweep made."""
-    monkeypatch.setattr(link, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
     pools = []
     real_pool = concurrent.futures.ProcessPoolExecutor
 
@@ -618,7 +618,7 @@ def test_worker_exception_reaches_the_caller(monkeypatch, cpus):
     real_sweep_batch = link._sweep_batch
     monkeypatch.setattr(link, "_sweep_batch", lambda *args: (
         failing if args[3] == 2 else real_sweep_batch)(*args))
-    monkeypatch.setattr(link, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
     cfg = small_config(**{"grid.ebn0_db": "10", "sweep.policies": "bln",
                           "sweep.min_errors": 10 ** 9,
                           "sweep.max_bits": 4 * _SMALL_BATCH_BITS})
@@ -630,7 +630,7 @@ def test_worker_exception_reaches_the_caller(monkeypatch, cpus):
 _BLAS_THREADS = """
 import ctypes, json
 import numpy
-from inofdm import link
+from inofdm import workers
 with open("/proc/self/maps") as fh:
     paths = {line.split(maxsplit=5)[-1].rstrip() for line in fh
              if "openblas" in line}
@@ -640,7 +640,7 @@ getters = [getattr(library, name) for library in map(ctypes.CDLL, paths)
                         "scipy_openblas_get_num_threads64_")
            if hasattr(library, name)]
 before = [get() for get in getters]
-link._init_worker()
+workers._init_worker()
 print(json.dumps([before, [get() for get in getters]]))
 """
 
