@@ -127,22 +127,15 @@ def init_params(rng: np.random.Generator, normalizer: FeatureNormalizer,
     return MlpParams(theta, normalizer, train_seed)
 
 
-def _forward_cached(params: MlpParams, x: np.ndarray):
-    z1 = x @ params.w1.T + params.b1
-    a1 = relu(z1)
-    z2 = a1 @ params.w2.T + params.b2
-    a2 = relu(z2)
-    z3 = a2 @ params.w3.T + params.b3
-    yhat = sigmoid(z3[:, 0])
-    return yhat, z1, a1, z2, a2
-
-
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Output probabilities for normalized inputs of shape (m, 3)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != LAYER_SIZES[0]:
         raise ValueError(f"expected (m, {LAYER_SIZES[0]}) inputs")
-    return _forward_cached(params, x)[0]
+    a1 = relu(x @ params.w1.T + params.b1)
+    a2 = relu(a1 @ params.w2.T + params.b2)
+    z3 = a2 @ params.w3.T + params.b3
+    return sigmoid(z3[:, 0])
 
 
 def _blocked_forward(params: MlpParams, x: np.ndarray, block_rows: int,
@@ -210,8 +203,7 @@ class Workspace:
     """Buffers of :func:`gradients` for up to ``rows`` rows: both hidden
     layers' activations, their backward terms and ReLU masks, the output
     layer's pre-activation and sigmoid temporaries, and the weight-decay
-    term of every parameter; also the layer views of the last gradient
-    vector it was used with."""
+    term of every parameter."""
 
     def __init__(self, rows: int) -> None:
         hidden = [(rows, width) for width in LAYER_SIZES[1:3]]
@@ -223,13 +215,6 @@ class Workspace:
         self.positive = np.empty(rows, dtype=bool)
         self.decay = np.empty(N_PARAMS)
         self.decay_blocks = blocks(self.decay)
-        self._grad, self._grad_blocks = None, {}
-
-    def grad_blocks(self, grad: np.ndarray) -> Dict[str, np.ndarray]:
-        """:func:`blocks` of ``grad``, made once per gradient vector."""
-        if grad is not self._grad:
-            self._grad, self._grad_blocks = grad, blocks(grad)
-        return self._grad_blocks
 
 
 def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray, lam: float,
@@ -251,7 +236,7 @@ def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray, lam: float,
         buf[:m] for buf in (work.a1, work.a2, work.d1, work.d2, work.on1,
                             work.on2, work.z3, work.dz3, work.denom,
                             work.positive))
-    # Forward, as _forward_cached, with each layer's z > 0 kept as a mask.
+    # Forward, as in forward(), with each layer's z > 0 kept as a mask.
     np.matmul(x, params.w1.T, out=a1)
     a1 += params.b1
     np.greater(a1, 0.0, out=on1)
@@ -264,7 +249,7 @@ def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray, lam: float,
     z3 += params.b3
     sigmoid(z3[:, 0], out=dz3, denom=denom, positive=positive)   # yhat
     # Backward.
-    g = work.grad_blocks(out)
+    g = blocks(out)
     np.multiply(params.theta, lam / m, out=work.decay)
     decay = work.decay_blocks
     dz3 -= y

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from inofdm import workers
 from inofdm.features import (
     DATASET_BLOCK_ROWS,
+    READ_RANGE_BYTES,
     DETECTOR_BLOCK_ROWS,
     FeatureNormalizer,
     _median_network,
@@ -471,6 +472,9 @@ def test_dataset_files_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path, row
         np.testing.assert_array_equal(np.signbit(got_f), np.signbit(feats))
         np.testing.assert_array_equal(got_l, labels)
         assert got_l.dtype == np.uint8 and got_meta == meta
+        # One worker per READ_RANGE_BYTES of rows at most.
+        row_bytes = path.stat().st_size - len("# seed=7\nx1,x2,x3,label\n")
+        forked = min(cpus, -(-row_bytes // READ_RANGE_BYTES))
         assert pools == ([(forked, "fork")] if forked > 1 else []), cpus
 
 
