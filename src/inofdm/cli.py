@@ -54,6 +54,17 @@ def _check_out_dirs(*paths) -> None:
             raise ValueError(f"output directory of {str(path)!r} does not exist")
 
 
+def _check_out_tree(path) -> None:
+    """Fail before any work when the directory ``path`` cannot be made:
+    it, or its nearest existing ancestor, must be a directory."""
+    existing = Path(path)
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ValueError(f"output directory {str(path)!r} cannot be made: "
+                         f"{str(existing)!r} is not a directory")
+
+
 def _cmd_gen_dataset(args: argparse.Namespace) -> int:
     cfg = _load(args)
     _check_out_dirs(args.out)
@@ -117,6 +128,7 @@ def _cmd_ber_sweep(args: argparse.Namespace) -> int:
     if args.perfect_csi:
         extra["sweep.perfect_csi"] = "true"
     cfg = _load(args, extra)
+    _check_out_tree(args.out)
     params = None
     model_path = args.model or (cfg.model_path or None)
     if any(name.startswith("dnn") for name in cfg.policies):

@@ -63,9 +63,11 @@ from .ofdm import (ChannelRealization, assemble_active, channel_apply,
 
 #: Symbols simulated per Monte Carlo batch.
 BATCH_SYMBOLS = 32
-#: Decoder rows a sweep gathers per Viterbi call when its budget allows:
-#: the decoder's cost per row levels off from about 128 rows.
-DECODE_ROWS = 128
+#: Decoder rows a sweep gathers per Viterbi call when its budget allows.
+#: The cost per row is lowest here: on one CPU of a 2-vCPU Xeon a call of
+#: 256 rows took 36 ms (0.14 ms a row), against 25 ms for 128 rows (0.19),
+#: 11-14 ms for 32 (0.33-0.44) and 85 ms for 512 (0.17).
+DECODE_ROWS = 256
 
 # Seed-stream tags so different activities never share random draws.
 _TAG_SWEEP = 0
@@ -298,34 +300,36 @@ class BerCurve:
 
 def _sweep_batch(cfg: ExperimentConfig, ebn0: float, point_idx: int,
                  batch_idx: int, names: Tuple[str, ...],
-                 settings: DetectorSettings
-                 ) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """One sweep batch up to the decoder: its message bits and one LLR
-    array per named policy.  The batch itself is freed on return."""
+                 settings: DetectorSettings, llrs: np.ndarray) -> np.ndarray:
+    """One sweep batch up to the decoder: writes each named policy's LLR
+    rows into ``llrs`` (policies, BATCH_SYMBOLS, 2 * n_data) and returns
+    the message bits.  A policy's cleaned stream is freed once its rows
+    are written, and the batch on return."""
     rng = np.random.default_rng(np.random.SeedSequence(
         (cfg.seed, _TAG_SWEEP, point_idx, batch_idx)))
     batch = simulate_batch(cfg, ebn0, BATCH_SYMBOLS, rng)
-    return batch.tx_bits, [receive_llrs(cfg, batch, cleaned) for cleaned in
-                           mitigate(batch.rx, names, settings)]
+    cleaned = mitigate(batch.rx, names, settings)
+    for out in llrs:
+        out[...] = receive_llrs(cfg, batch, cleaned.pop(0))
+    return batch.tx_bits
 
 
 def _sweep_chunk(context: tuple, ebn0: float, point_idx: int, first: int,
                  count: int) -> np.ndarray:
     """Bit errors, shape (count, policies), of the grid point's batches
     ``first`` to ``first + count - 1`` of the sweep ``context`` (cfg, names,
-    settings), from one decoder call for all of them."""
+    settings), from one decoder call for all of them.  The batches write
+    their LLR rows into one array made up front, so no rows are held
+    twice."""
     cfg, names, settings = context
-    tx_bits, llrs = [], []
-    for index in range(first, first + count):
-        message, rows = _sweep_batch(cfg, ebn0, point_idx, index, names,
-                                     settings)
-        tx_bits.append(message)
-        llrs.extend(rows)
-    # Rebinding frees the per-policy arrays before the decoder runs.
-    llrs = np.concatenate(llrs)
-    decoded = viterbi_decode_soft(llrs).reshape(count, len(names),
-                                                *tx_bits[0].shape)
-    return np.count_nonzero(decoded != np.stack(tx_bits)[:, None], axis=(2, 3))
+    tx_bits = np.empty((count, BATCH_SYMBOLS, bits_per_symbol(cfg)), np.uint8)
+    llrs = np.empty((count, len(names), BATCH_SYMBOLS, 2 * cfg.ofdm.n_data))
+    for i in range(count):
+        tx_bits[i] = _sweep_batch(cfg, ebn0, point_idx, first + i, names,
+                                  settings, llrs[i])
+    decoded = viterbi_decode_soft(llrs.reshape(-1, llrs.shape[-1]))
+    return np.count_nonzero(decoded.reshape(llrs.shape[:3] + (-1,))
+                            != tx_bits[:, None], axis=(2, 3))
 
 
 def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
@@ -355,13 +359,16 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
     * share = ceil(left / idle CPUs), with left the batches ``cfg.max_bits``
       still allows, so a fixed budget splits evenly over the CPUs.
 
-    With one CPU every chunk runs in this process.  With more, one worker
-    per CPU is forked the first time a second chunk is wanted in flight,
-    and each chunk carries the sweep's config, policies and detector
-    settings (the model included).  Errors are counted and the stop rule
-    checked batch by batch in index order, so the curves do not depend on
-    the CPU count and equal those of one decode per batch; batches in
-    flight past the stop are discarded.
+    With one CPU every chunk runs in this process.  With more, a
+    :class:`~inofdm.workers.Pool` of one worker per CPU is forked the first
+    time a second chunk is wanted in flight.  The workers inherit the
+    sweep's config, policies and detector settings (the model included),
+    so a chunk sends only its Eb/N0, grid point and batch range.  Errors
+    are counted and the stop rule checked batch by batch in index order,
+    so the curves do not depend on the CPU count and equal those of one
+    decode per batch.  Chunks in flight past the stop are discarded: a
+    worker's discarded reply is dropped before its next one, and a worker
+    still running one when the sweep ends is terminated.
     """
     batch_bits = BATCH_SYMBOLS * bits_per_symbol(cfg)
     curves = {name: BerCurve(detector=name, points=[],
@@ -377,7 +384,7 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
         for point_idx, ebn0 in enumerate(cfg.ebn0_db):
             errors = np.zeros(len(names), dtype=np.int64)
             counted = dispatched = decodes = 0
-            pending = deque()       # (chunk arguments, future or None)
+            pending = deque()       # (chunk arguments, pool ticket or None)
             stopped = False
             while not stopped:
                 while len(pending) < cpus:
@@ -396,17 +403,17 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
                     if chunk < 1:
                         break
                     if pending and pool is None:
-                        pool = workers.fork_pool(cpus)
-                        pending = deque((args, pool.submit(_sweep_chunk, *args))
+                        pool = workers.Pool(cpus, _sweep_chunk, context)
+                        pending = deque((args, pool.submit(*args))
                                         for args, _ in pending)
-                    args = (context, ebn0, point_idx, dispatched, chunk)
+                    args = (ebn0, point_idx, dispatched, chunk)
                     pending.append((args, None if pool is None else
-                                    pool.submit(_sweep_chunk, *args)))
+                                    pool.submit(*args)))
                     dispatched += chunk
                     decodes += 1
-                args, future = pending.popleft()
-                for batch_errors in (_sweep_chunk(*args) if future is None
-                                     else future.result()):
+                args, ticket = pending.popleft()
+                for batch_errors in (_sweep_chunk(context, *args)
+                                     if ticket is None else pool.result(ticket)):
                     errors += batch_errors
                     counted += 1
                     stopped = (counted == budget
@@ -425,7 +432,7 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
                     f"discarded={dispatched - counted} {summary}")
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.close()
     return curves
 
 

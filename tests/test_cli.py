@@ -134,9 +134,9 @@ def test_recipe_does_not_depend_on_the_cpu_count(cfg_file, tmp_path,
     # 72 symbols of 128 samples: 9,216 rows, three dataset blocks, so every
     # stage of the recipe forks with two or three CPUs.
     outputs, pools = {}, []
-    real_fork_pool = workers.fork_pool
-    monkeypatch.setattr(workers, "fork_pool", lambda n, state=(): (
-        pools.append(n), real_fork_pool(n, state))[1])
+    real_pool = workers.Pool
+    monkeypatch.setattr(workers, "Pool", lambda n, job, state=(): (
+        pools.append(n), real_pool(n, job, state))[1])
     for cpus in (1, 2, 3):
         monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
         pools.clear()
@@ -191,6 +191,24 @@ def test_missing_output_directory_exits_2_before_any_work(
     assert missing in capsys.readouterr().err
     assert not (tmp_path / "nodir").exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "small.cfg"]
+
+
+@pytest.mark.parametrize("out", ["data.csv", "data.csv/curves"])
+def test_sweep_output_at_or_below_a_file_exits_2_before_any_work(
+        cfg_file, tmp_path, monkeypatch, capsys, out):
+    # The sweep ran every grid point, then failed with "File exists".
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("x1,x2,x3,label\n1,2,3,0\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output check")
+    monkeypatch.setattr(link, "ber_sweep", no_work)
+    rc = run_cli("ber-sweep", "--config", cfg_file, "--set",
+                 "sweep.policies=bln", "--out", out)
+    assert rc == 2
+    assert repr(out) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "small.cfg"]
+    assert (tmp_path / "data.csv").is_file()
 
 
 # ---------------------------------------------------------------------------

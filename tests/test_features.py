@@ -1,6 +1,5 @@
 """Tests for the per-sample detector features and the dataset file format."""
 
-import concurrent.futures
 import multiprocessing
 import warnings
 
@@ -437,12 +436,13 @@ def _on_cpus(monkeypatch, cpus, call, *args):
     worker outlives the call, also when it raises."""
     monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
     pools = []
-    real_pool = concurrent.futures.ProcessPoolExecutor
+    real_pool = workers.Pool
 
-    def pool(n_workers, mp_context, **kwargs):
-        pools.append((n_workers, mp_context.get_start_method()))
-        return real_pool(n_workers, mp_context, **kwargs)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    def pool(n_workers, job, state=()):
+        made = real_pool(n_workers, job, state)
+        pools.append((len(made.processes), made.processes[0]._start_method))
+        return made
+    monkeypatch.setattr(workers, "Pool", pool)
     try:
         return call(*args), pools
     finally:

@@ -7,14 +7,16 @@ scaled-down grid (N=128 with a 3-tap channel); physics checks that depend on
 the published dimensioning use the default configuration.
 """
 
-import concurrent.futures
 import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -498,16 +500,18 @@ def _counting(monkeypatch, name, record):
     monkeypatch.setattr(link, name, wrapped)
 
 
-def test_fixed_budget_network_point_decodes_once_at_128_rows(monkeypatch):
+def test_fixed_budget_network_point_decodes_once_at_decode_rows(monkeypatch):
+    # A budget of exactly one full decoder call.
     calls = []
     _counting(monkeypatch, "viterbi_decode_soft", calls)
+    batches = link.DECODE_ROWS // link.BATCH_SYMBOLS
     cfg = small_config(**{"noise.epsilon": 0.05, "grid.ebn0_db": "10",
                           "sweep.policies": "dnn", "sweep.min_errors": 10 ** 9,
-                          "sweep.max_bits": 4 * _SMALL_BATCH_BITS})
+                          "sweep.max_bits": batches * _SMALL_BATCH_BITS})
     lines = []
     point = link.ber_sweep(cfg, dnn.load_model(MODEL_PATH),
                            log=lines.append)["dnn"].points[0]
-    assert point.bits == 4 * _SMALL_BATCH_BITS
+    assert point.bits == batches * _SMALL_BATCH_BITS
     assert [args[0].shape[0] for args in calls] == [link.DECODE_ROWS]
     assert "decodes=1 discarded=0 " in lines[0]
 
@@ -543,12 +547,13 @@ def _sweep_on(monkeypatch, cpus, cfg, params=None):
     log lines, and (workers, start method) of every pool the sweep made."""
     monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
     pools = []
-    real_pool = concurrent.futures.ProcessPoolExecutor
+    real_pool = workers.Pool
 
-    def pool(workers, mp_context, **kwargs):
-        pools.append((workers, mp_context.get_start_method()))
-        return real_pool(workers, mp_context, **kwargs)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    def pool(n_workers, job, state=()):
+        made = real_pool(n_workers, job, state)
+        pools.append((len(made.processes), made.processes[0]._start_method))
+        return made
+    monkeypatch.setattr(workers, "Pool", pool)
     lines = []
     curves = link.ber_sweep(cfg, params, log=lines.append)
     assert multiprocessing.active_children() == []
@@ -569,12 +574,17 @@ def _sweep_on(monkeypatch, cpus, cfg, params=None):
     # min_errors is reached inside a chunk.
     ({}, {"grid.ebn0_db": "14", "sweep.policies": "bln", "seed": 2,
           "sweep.min_errors": 30, "sweep.max_bits": 200_000}, True),
+    # The same, then a second point on the workers still running the
+    # first point's discarded chunks.
+    ({}, {"grid.ebn0_db": "14,14", "sweep.policies": "bln", "seed": 2,
+          "sweep.min_errors": 30, "sweep.max_bits": 200_000}, True),
     ({}, {"grid.ebn0_db": "4,8,12", "sweep.policies": "none,bln",
-          "sweep.min_errors": 150, "sweep.max_bits": 60_000}, True),
+          "sweep.min_errors": 300, "sweep.max_bits": 60_000}, True),
     # Stopped by its first batch: nothing to run beside it, nothing forked.
     ({}, {"grid.ebn0_db": "4", "sweep.policies": "bln",
           "sweep.min_errors": 50, "sweep.max_bits": 10 ** 6}, False),
-], ids=["budget-4pol", "budget-ti", "mid_chunk", "grid", "first_batch"])
+], ids=["budget-4pol", "budget-ti", "mid_chunk", "mid_chunk_then_point",
+        "grid", "first_batch"])
 def test_sweep_does_not_depend_on_the_cpu_count(monkeypatch, chain, case,
                                                  forks):
     cfg = small_config(**chain, **{"noise.epsilon": 0.05, **case})
@@ -613,7 +623,7 @@ class WorkerFailure(Exception):
 def test_worker_exception_reaches_the_caller(monkeypatch, cpus):
     # One policy and four batches: on two CPUs, batches 2-3 are the second
     # worker's chunk.
-    def failing(cfg, ebn0, point_idx, batch_idx, names, settings):
+    def failing(cfg, ebn0, point_idx, batch_idx, names, settings, llrs):
         raise WorkerFailure(f"batch {batch_idx}")
     real_sweep_batch = link._sweep_batch
     monkeypatch.setattr(link, "_sweep_batch", lambda *args: (
@@ -625,6 +635,73 @@ def test_worker_exception_reaches_the_caller(monkeypatch, cpus):
     with pytest.raises(WorkerFailure, match="batch 2"):
         link.ber_sweep(cfg)
     assert multiprocessing.active_children() == []
+
+
+def _within(seconds, call):
+    """``call()``, failed with ``TimeoutError`` if it runs over ``seconds``
+    (a hang)."""
+    def expired(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("caller", ["ber_sweep", "ordered_map"])
+def test_worker_that_dies_names_its_exit_code(monkeypatch, caller):
+    # On two CPUs the job that exits runs in the second worker.
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    if caller == "ber_sweep":
+        real_sweep_batch = link._sweep_batch
+        monkeypatch.setattr(link, "_sweep_batch", lambda *args: (
+            os._exit(3) if args[3] == 2 else real_sweep_batch(*args)))
+        cfg = small_config(**{"grid.ebn0_db": "10", "sweep.policies": "bln",
+                              "sweep.min_errors": 10 ** 9,
+                              "sweep.max_bits": 4 * _SMALL_BATCH_BITS})
+        call = lambda: link.ber_sweep(cfg)
+    else:
+        call = lambda: list(workers.ordered_map(
+            lambda state, i: os._exit(3) if i == 1 else i, [(0,), (1,), (2,)]))
+    with pytest.raises(RuntimeError, match="exited with code 3 "):
+        _within(60, call)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_sends_work_to_a_worker_once_its_skipped_job_is_done():
+    # A skipped job's reply, once it has arrived, is not work still
+    # running; counted as such, every later job would go to the first
+    # worker, and a sweep that discarded a chunk would run on one CPU.
+    with closing(workers.Pool(2, lambda state, i: os.getpid())) as pool:
+        first, _skipped = pool.submit(0), pool.submit(1)
+        pool.result(first)
+        # Two jobs at a time, until the skipped one has replied.
+        deadline = time.monotonic() + 10
+        while True:
+            tickets = [pool.submit(i) for i in (2, 3)]
+            pids = {pool.result(ticket) for ticket in tickets}
+            if len(pids) == 2 or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert len(pids) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_discarded_chunks_leave_stderr_empty(monkeypatch, capfd):
+    # The mid_chunk case: min_errors is reached inside a chunk while the
+    # other worker runs one that is discarded.
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    cfg = small_config(**{"noise.epsilon": 0.05, "grid.ebn0_db": "14",
+                          "sweep.policies": "bln", "seed": 2,
+                          "sweep.min_errors": 30, "sweep.max_bits": 200_000})
+    lines = []
+    _within(60, lambda: link.ber_sweep(cfg, log=lines.append))
+    assert "discarded=0 " not in lines[0]
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""
 
 
 _BLAS_THREADS = """
