@@ -51,7 +51,8 @@ def _check_out_dirs(*paths) -> None:
     """Fail before any work when an output file's directory is missing."""
     for path in paths:
         if not Path(path).parent.is_dir():
-            raise ValueError(f"output directory of {str(path)!r} does not exist")
+            raise ValueError(f"output directory {str(Path(path).parent)!r} "
+                             f"of {str(path)!r} does not exist")
 
 
 def _check_out_tree(path) -> None:
@@ -147,6 +148,7 @@ def _cmd_ber_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.out)
     curve_paths = sorted(Path(args.curves).glob("curve_*.csv"))
     if not curve_paths:
         raise ValueError(f"no curve_*.csv files under {args.curves}")

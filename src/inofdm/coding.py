@@ -26,7 +26,9 @@ reused (STEP_CHUNK, n_states, rows) bool buffer and keeps them packed
 eight to a byte, and the traceback unpacks one chunk at a time.  What
 grows with the block length is then n_states/8 = 8 bytes per step and row,
 where unpacked survivors and a whole-block pair-metric table took 96; a
-call of 128 link-sized rows (672 steps) allocates under 3 MB at its peak.
+call of 256 link-sized rows (672 steps), as a sweep makes them (see
+:data:`inofdm.link.DECODE_ROWS`), allocates 5.4 MB at its peak besides
+its 2.8 MB input (tracemalloc).
 
 The block interleaver writes row-wise and reads column-wise; lengths shorter
 than rows*cols use the same read-out order restricted to occupied cells, so

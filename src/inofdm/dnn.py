@@ -183,18 +183,36 @@ def loss_value(params: MlpParams, x: np.ndarray, y: np.ndarray,
     """Mean clamped cross-entropy plus (lam/2m) sum of squared weights.
 
     The forward pass runs over DETECTOR_BLOCK_ROWS rows at a time (see
-    :func:`_blocked_forward`), and the mean still reduces the whole (m,)
-    vector at once, so the loss is the same float as from one forward pass
-    over all m rows.
+    :func:`_blocked_forward`) into one (m,) vector, the only full-size
+    array this function allocates: the labels stay in their own dtype and
+    are converted a block at a time, and each block's cross-entropy terms
+    overwrite its probabilities.  The mean then reduces the whole vector
+    at once (a mean of per-block sums would round differently), so the
+    loss is the same float as from one forward pass over all m rows.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y)
     m = len(y)
     if m == 0 or x.shape != (m, LAYER_SIZES[0]):
         raise ValueError("x must be (m, 3) with matching labels")
-    yhat = np.clip(_blocked_forward(params, x, DETECTOR_BLOCK_ROWS),
-                   EPS_CLAMP, 1.0 - EPS_CLAMP)
-    bce = -np.mean(y * np.log(yhat) + (1.0 - y) * np.log(1.0 - yhat))
+    terms = _blocked_forward(params, x, DETECTOR_BLOCK_ROWS)
+    y_buf, log_buf = np.empty((2, min(DETECTOR_BLOCK_ROWS, m)))
+    for start in range(0, m, DETECTOR_BLOCK_ROWS):
+        p = terms[start:start + DETECTOR_BLOCK_ROWS]
+        k = len(p)
+        y_k, log_p = y_buf[:k], log_buf[:k]
+        y_k[...] = y[start:start + k]
+        # y log(p) + (1 - y) log(1 - p), p clamped, each operation as in
+        # the whole-vector expression.
+        np.clip(p, EPS_CLAMP, 1.0 - EPS_CLAMP, out=p)
+        np.log(p, out=log_p)
+        log_p *= y_k
+        np.subtract(1.0, p, out=p)
+        np.log(p, out=p)
+        np.subtract(1.0, y_k, out=y_k)
+        p *= y_k
+        np.add(log_p, p, out=p)
+    bce = -np.mean(terms)
     penalty = sum(float(np.sum(w ** 2)) for w in (params.w1, params.w2, params.w3))
     return float(bce + lam / (2.0 * m) * penalty)
 
@@ -339,6 +357,13 @@ def train(features: np.ndarray, labels: np.ndarray,
     seeded with ``cfg.seed``, so training is deterministic given (dataset
     order, seed).
 
+    Full-size arrays: the caller's features and labels (kept in their own
+    dtype; each minibatch's labels are converted to float as it is
+    gathered), one C-contiguous normalized copy of the features that every
+    minibatch is gathered from, each epoch's (m,) row permutation, and the
+    (m,) vector of :func:`loss_value`.  ``fit_normalizer``'s standard
+    deviation briefly holds one more (m, 3) temporary.
+
     Returns:
         (params, per-epoch training loss trace).
 
@@ -346,7 +371,7 @@ def train(features: np.ndarray, labels: np.ndarray,
         FloatingPointError: If the loss stops being finite (divergence).
     """
     features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
+    labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[1] != LAYER_SIZES[0]:
         raise ValueError(f"features must be (rows, {LAYER_SIZES[0]})")
     if labels.shape != (features.shape[0],) or features.shape[0] == 0:
@@ -362,6 +387,7 @@ def train(features: np.ndarray, labels: np.ndarray,
     # params in place.
     rows = min(cfg.batch_size, n_rows)
     x_batch, y_batch = np.empty((rows, LAYER_SIZES[0])), np.empty(rows)
+    y_taken = np.empty(rows, labels.dtype)
     grad, work = np.empty(N_PARAMS), Workspace(rows)
     for _ in range(cfg.epochs):
         order = rng.permutation(n_rows)
@@ -369,7 +395,8 @@ def train(features: np.ndarray, labels: np.ndarray,
             batch = order[start:start + cfg.batch_size]
             k = len(batch)
             np.take(x, batch, axis=0, out=x_batch[:k], mode="clip")
-            np.take(labels, batch, out=y_batch[:k], mode="clip")
+            np.take(labels, batch, out=y_taken[:k], mode="clip")
+            y_batch[:k] = y_taken[:k]
             gradients(params, x_batch[:k], y_batch[:k], cfg.lam, out=grad,
                       work=work)
             adam_step(state, params, grad, out=params)

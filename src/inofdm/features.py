@@ -199,11 +199,14 @@ def fit_normalizer(features: np.ndarray) -> FeatureNormalizer:
 
 def apply_normalizer(features: np.ndarray,
                      normalizer: FeatureNormalizer) -> np.ndarray:
-    """Standardize features with previously fitted constants."""
+    """Standardize features with previously fitted constants, into one
+    new C-contiguous array."""
     features = np.asarray(features, dtype=float)
     if features.shape[-1] != len(normalizer.mean):
         raise ValueError("feature count does not match the normalizer")
-    return (features - normalizer.mean) / normalizer.std
+    out = np.subtract(features, normalizer.mean, order="C")
+    out /= normalizer.std
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +226,10 @@ def apply_normalizer(features: np.ndarray,
 # data rows at line starts into one byte range per worker, each of at least
 # READ_RANGE_BYTES, and counts their lines.  A worker reads its range a line
 # at a time into numpy's C text parser (np.loadtxt, which rounds correctly
-# and needs no per-row Python objects) and copies the rows to their place
-# in one array in a shared mapping, which the returned arrays view.  A row
-# that is not four numbers, or whose label is not 0 or 1, raises a
-# ValueError that names its line in the file.
+# and needs no per-row Python objects) and copies the rows' features and
+# labels to their place in two arrays in shared mappings, which are the
+# arrays returned.  A row that is not four numbers, or whose label is not 0
+# or 1, raises a ValueError that names its line in the file.
 
 #: Rows formatted per job of :func:`write_dataset`.
 DATASET_BLOCK_ROWS = 4096
@@ -328,9 +331,10 @@ def _raise_bad_line(path, lines: Iterable[str], first_line: int) -> None:
 
 def _parse_rows(state: tuple, start: int, n_lines: int, row0: int) -> int:
     """Parse the ``n_lines`` lines from byte ``start`` of the dataset
-    ``state`` (path, file line of data row 0, rows array) into its rows
-    from ``row0``, which ``row0`` lines precede; returns the rows parsed."""
-    path, data_line, out = state
+    ``state`` (path, file line of data row 0, features, labels) into its
+    rows from ``row0``, which ``row0`` lines precede; returns the rows
+    parsed."""
+    path, data_line, features, labels = state
     # Text lines, split at '\n' alone as the line count was: np.loadtxt
     # parses them about twice as fast as bytes lines.
     with open(path, "r", encoding="ascii", newline="\n") as fh:
@@ -344,7 +348,8 @@ def _parse_rows(state: tuple, start: int, n_lines: int, row0: int) -> int:
                 or not ((rows[:, 3] == 0) | (rows[:, 3] == 1)).all()):
             fh.seek(start)
             _raise_bad_line(path, islice(fh, n_lines), data_line + row0)
-    out[row0:row0 + len(rows)] = rows
+    features[row0:row0 + len(rows)] = rows[:, :3]
+    labels[row0:row0 + len(rows)] = rows[:, 3]
     return len(rows)
 
 
@@ -352,7 +357,11 @@ def read_dataset(path) -> Tuple[np.ndarray, np.ndarray, Dict[str, str]]:
     """Read a dataset written by :func:`write_dataset`.
 
     Returns:
-        (features, labels, metadata).
+        (features, labels, metadata): a C-contiguous float64 (rows, 3)
+        matrix and a uint8 (rows,) column, each in a shared mapping (see
+        :func:`inofdm.workers.shared_array`) that the parsing workers
+        write; only when blank or comment lines sit among the rows are
+        they compacted into heap copies.
 
     Raises:
         ValueError: On a missing or wrong header, or a data row that does
@@ -394,9 +403,13 @@ def read_dataset(path) -> Tuple[np.ndarray, np.ndarray, Dict[str, str]]:
             if n_lines:
                 jobs.append((lo, n_lines, lines))
                 lines += n_lines
-    data = workers.shared_array((lines, 4), float)
-    counts = list(workers.ordered_map(_parse_rows, jobs, (path, data_line, data)))
+    features = workers.shared_array((lines, 3), float)
+    labels = workers.shared_array((lines,), np.uint8)
+    counts = list(workers.ordered_map(_parse_rows, jobs,
+                                      (path, data_line, features, labels)))
     if sum(counts) < lines:     # blank or comment lines among the rows
-        data = np.concatenate([data[row0:row0 + count]
-                               for (_, _, row0), count in zip(jobs, counts)])
-    return data[:, :3], data[:, 3].astype(np.uint8), metadata
+        features, labels = (
+            np.concatenate([column[row0:row0 + count]
+                            for (_, _, row0), count in zip(jobs, counts)])
+            for column in (features, labels))
+    return features, labels, metadata

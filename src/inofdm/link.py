@@ -218,8 +218,9 @@ def receive_batch(cfg: ExperimentConfig, batch: SymbolBatch,
 
 def _dataset_point(state: tuple, ci: int) -> None:
     """Simulate training-grid point ``ci`` of the dataset ``state`` (cfg,
-    grid, first row of every point, features, labels) into its rows."""
-    cfg, combos, starts, features, labels = state
+    grid, first row of every point, shuffled position of every row,
+    features, labels) into its rows' shuffled positions."""
+    cfg, combos, starts, where, features, labels = state
     ebn0, sir, eps = combos[ci]
     point_cfg = dc_replace(cfg, noise_model="bg", sir_db=sir, epsilon=eps,
                            burst_len=1, time_interleaver=None)
@@ -227,7 +228,7 @@ def _dataset_point(state: tuple, ci: int) -> None:
         (cfg.seed, _TAG_DATASET, ci)))
     count = (starts[ci + 1] - starts[ci]) // cfg.ofdm.n_fft
     batch = simulate_batch(point_cfg, ebn0, count, rng)
-    rows = slice(starts[ci], starts[ci + 1])
+    rows = where[starts[ci]:starts[ci + 1]]
     features[rows] = detector_features(batch.rx, cfg.half_width,
                                        estimate_clean_power(batch.rx)
                                        ).reshape(-1, 3)
@@ -242,13 +243,19 @@ def generate_dataset(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
     features come from the receiver's time-domain bodies before any
     mitigation, prefix samples excluded.  Every grid point draws from its
     own seed, so the points run on forked workers (see
-    :mod:`inofdm.workers`), each into its own rows of one shared array.
-    Rows are then shuffled with a seed derived from the master seed, so
-    the on-disk order is deterministic and does not depend on the CPU
-    count.
+    :mod:`inofdm.workers`).  The rows are shuffled with a permutation drawn
+    from a seed derived from the master seed, so the on-disk order is
+    deterministic and does not depend on the CPU count: the permutation is
+    drawn before the fork, and every point writes its rows straight to
+    their shuffled positions, through the inverse permutation, in the two
+    arrays it returns.  Those live in shared mappings (see
+    :func:`inofdm.workers.shared_array`); the parent's heap holds only the
+    inverse permutation, 8 bytes a row, and while it is made the
+    permutation and one index vector as well.
 
     Returns:
-        (features, labels) with ``cfg.train_symbols * n_fft`` rows.
+        (features, labels) with ``cfg.train_symbols * n_fft`` rows: a
+        C-contiguous float64 (rows, 3) matrix and a uint8 (rows,) column.
     """
     combos = list(itertools.product(cfg.train_ebn0_db, cfg.train_sir_db,
                                     cfg.train_epsilon))
@@ -259,15 +266,20 @@ def generate_dataset(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
     starts = [0]
     for ci in range(len(combos)):
         starts.append(starts[-1] + (base + (ci < extra)) * cfg.ofdm.n_fft)
+    order = np.random.default_rng(np.random.SeedSequence(
+        (cfg.seed, _TAG_SHUFFLE))).permutation(starts[-1])
+    # Returned row i is simulated row order[i], so simulated row j goes to
+    # row where[j].
+    where = np.empty_like(order)
+    where[order] = np.arange(len(order))
+    del order
     features = workers.shared_array((starts[-1], 3), float)
     labels = workers.shared_array((starts[-1],), np.uint8)
     for _ in workers.ordered_map(_dataset_point,
                                  [(ci,) for ci in range(len(combos))],
-                                 (cfg, combos, starts, features, labels)):
+                                 (cfg, combos, starts, where, features, labels)):
         pass
-    order = np.random.default_rng(np.random.SeedSequence(
-        (cfg.seed, _TAG_SHUFFLE))).permutation(starts[-1])
-    return features[order], labels[order]
+    return features, labels
 
 
 # ---------------------------------------------------------------------------

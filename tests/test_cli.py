@@ -211,6 +211,23 @@ def test_sweep_output_at_or_below_a_file_exits_2_before_any_work(
     assert (tmp_path / "data.csv").is_file()
 
 
+def test_plot_data_missing_output_directory_exits_2_before_reading(
+        tmp_path, monkeypatch, capsys):
+    # plot-data read every curve, then failed with a bare "[Errno 2]".
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "curves").mkdir()
+    (tmp_path / "curves" / "curve_none.csv").write_text("")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("curves read before the output check")
+    monkeypatch.setattr(link, "read_curve_csv", no_work)
+    rc = run_cli("plot-data", "--curves", "curves", "--out", "nodir/table.csv")
+    assert rc == 2
+    assert ("output directory 'nodir' of 'nodir/table.csv' does not exist"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "nodir").exists()
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

@@ -430,6 +430,14 @@ def test_dataset_reader_rejects_missing_header(tmp_path):
         read_dataset(path)
 
 
+def _assert_read_layout(features, labels, rows):
+    """The reader's arrays: a C-contiguous float64 (rows, 3) matrix and a
+    uint8 column, not views of one (rows, 4) array."""
+    assert features.shape == (rows, 3) and features.dtype == np.float64
+    assert features.flags.c_contiguous
+    assert labels.shape == (rows,) and labels.dtype == np.uint8
+
+
 def _on_cpus(monkeypatch, cpus, call, *args):
     """``call(*args)`` with ``cpus`` usable CPUs; returns its result and the
     (workers, start method) of every pool it made, and checks that no
@@ -471,7 +479,8 @@ def test_dataset_files_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path, row
         np.testing.assert_array_equal(got_f, feats)
         np.testing.assert_array_equal(np.signbit(got_f), np.signbit(feats))
         np.testing.assert_array_equal(got_l, labels)
-        assert got_l.dtype == np.uint8 and got_meta == meta
+        _assert_read_layout(got_f, got_l, rows)
+        assert got_meta == meta
         # One worker per READ_RANGE_BYTES of rows at most.
         row_bytes = path.stat().st_size - len("# seed=7\nx1,x2,x3,label\n")
         forked = min(cpus, -(-row_bytes // READ_RANGE_BYTES))
@@ -497,10 +506,12 @@ def test_reader_takes_a_last_row_without_newline_and_blank_lines(
     (feats, got, _), _ = _on_cpus(monkeypatch, cpus, read_dataset, path)
     np.testing.assert_array_equal(got, labels)
     np.testing.assert_array_equal(feats[:, 1], np.arange(rows))
+    _assert_read_layout(feats, got, rows)
     path.write_text("x1,x2,x3,label\n" + text.rstrip("\n"))
     (feats, got, _), _ = _on_cpus(monkeypatch, cpus, read_dataset, path)
     np.testing.assert_array_equal(got, labels)
     np.testing.assert_array_equal(feats[:, 2], -np.arange(rows))
+    _assert_read_layout(feats, got, rows)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

@@ -7,6 +7,8 @@ scaled-down grid (N=128 with a 3-tap channel); physics checks that depend on
 the published dimensioning use the default configuration.
 """
 
+import dataclasses
+import itertools
 import json
 import math
 import multiprocessing
@@ -25,7 +27,8 @@ import pytest
 from inofdm import config as config_mod
 from inofdm import dnn, link, workers
 from inofdm.coding import viterbi_decode_soft
-from inofdm.mitigation import DetectorSettings, mitigate
+from inofdm.mitigation import (DetectorSettings, detector_features,
+                               estimate_clean_power, mitigate)
 from inofdm.noise_models import BGNoise, MCANoise, SASNoise, sample_noise
 
 MODEL_PATH = Path(__file__).resolve().parent.parent / "models" / "detector.txt"
@@ -329,6 +332,57 @@ def test_dataset_rows_are_shuffled():
     _, labels = link.generate_dataset(cfg)
     half = len(labels) // 2
     assert labels[:half].mean() == pytest.approx(labels[half:].mean(), abs=0.03)
+
+
+def shuffled_after_simulation(cfg):
+    """The dataset as it was built before rows were written to their
+    shuffled positions: every grid point's rows, concatenated in grid
+    order, then indexed by the shuffle permutation."""
+    combos = list(itertools.product(cfg.train_ebn0_db, cfg.train_sir_db,
+                                    cfg.train_epsilon))
+    base, extra = divmod(cfg.train_symbols, len(combos))
+    features, labels = [], []
+    for ci, (ebn0, sir, eps) in enumerate(combos):
+        point_cfg = dataclasses.replace(cfg, noise_model="bg", sir_db=sir,
+                                        epsilon=eps, burst_len=1,
+                                        time_interleaver=None)
+        rng = np.random.default_rng(np.random.SeedSequence(
+            (cfg.seed, link._TAG_DATASET, ci)))
+        batch = link.simulate_batch(point_cfg, ebn0, base + (ci < extra), rng)
+        features.append(detector_features(
+            batch.rx, cfg.half_width, estimate_clean_power(batch.rx)
+        ).reshape(-1, 3))
+        labels.append(batch.labels.reshape(-1))
+    features, labels = np.concatenate(features), np.concatenate(labels)
+    order = np.random.default_rng(np.random.SeedSequence(
+        (cfg.seed, link._TAG_SHUFFLE))).permutation(len(labels))
+    return features[order], labels[order]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_dataset_rows_land_where_the_shuffle_put_them(monkeypatch, cpus):
+    # Four grid points, the first with one symbol more than the others.
+    cfg = small_config(**{"train.ebn0_db": "6,10", "train.sir_db": "0",
+                          "train.epsilon": "0.05,0.1", "train.symbols": 13,
+                          "seed": 5})
+    want_f, want_l = shuffled_after_simulation(cfg)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+    features, labels = link.generate_dataset(cfg)
+    assert features.dtype == np.float64 and features.flags.c_contiguous
+    assert labels.dtype == np.uint8
+    assert features.tobytes() == want_f.tobytes()
+    assert labels.tobytes() == want_l.tobytes()
+
+
+def test_dataset_generation_allocates_under_26_bytes_per_row(
+        monkeypatch, traced_bytes_per_row):
+    # On one CPU, where every grid point runs in this process: the inverse
+    # permutation, made from the permutation and one index vector (24
+    # bytes a row).  Shuffling after simulation copied the rows: 33.
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+    cfg = small_config(**{"train.symbols": 1600})
+    assert traced_bytes_per_row(lambda: link.generate_dataset(cfg),
+                                1600 * 128) <= 26
 
 
 def test_dataset_requires_enough_symbols_for_the_grid():

@@ -298,7 +298,30 @@ def test_blocked_loss_equals_whole_array_loss_exactly(m, model):
     rng = np.random.default_rng(m)
     x = rng.standard_normal((m, 3)) * 4.0
     y = (rng.random(m) < 0.3).astype(float)
-    assert loss_value(params, x, y, 0.1) == whole_array_loss(params, x, y, 0.1)
+    want = whole_array_loss(params, x, y, 0.1)
+    # uint8 labels, as read_dataset returns them, give the same float.
+    for labels in (y, y.astype(np.uint8)):
+        assert loss_value(params, x, labels, 0.1) == want
+
+
+#: Rows of the synthetic dataset the memory bounds are measured on.
+MEMORY_ROWS = 200_000
+
+
+def memory_dataset():
+    rng = np.random.default_rng(41)
+    return (rng.standard_normal((MEMORY_ROWS, 3)),
+            (rng.random(MEMORY_ROWS) < 0.1).astype(np.uint8))
+
+
+def test_loss_allocates_one_float_per_row(traced_bytes_per_row):
+    # The (m,) forward output holds the terms: 8 bytes a row, plus the
+    # block buffers.  Converting the labels and a temporary per operation
+    # of the whole-vector expression took 48.
+    x, y = memory_dataset()
+    params = random_params(42)
+    assert traced_bytes_per_row(
+        lambda: loss_value(params, x, y, 0.1), MEMORY_ROWS) <= 20
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +515,13 @@ class TestTraining:
     def test_flat_adam_trains_byte_identical_to_per_layer_adam(self, tmp_path):
         """Two epochs of :func:`train` against the same loop updating each
         layer's view with the per-layer Adam body the flat update replaced:
-        the saved models and the loss traces must match byte for byte."""
+        the saved models and the loss traces must match byte for byte,
+        whether ``train`` gets float labels or uint8 ones, as
+        ``read_dataset`` returns them."""
         feats, labels = cluster_dataset(38, n_per_class=2048)  # 4,096 rows
         cfg = TrainConfig(epochs=2, seed=7)
-        flat, flat_losses = train(feats, labels, cfg)
+        trained = {dtype: train(feats, labels.astype(dtype), cfg)
+                   for dtype in ("float64", "uint8")}
 
         rng = np.random.default_rng(cfg.seed)
         normalizer = fit_normalizer(feats)
@@ -522,11 +548,22 @@ class TestTraining:
                 params = replace(params, theta=theta)
             losses.append(loss_value(params, x, labels, cfg.lam))
 
-        for name, model in (("flat", flat), ("per_layer", params)):
-            save_model(tmp_path / f"{name}.txt", model)
-        assert ((tmp_path / "flat.txt").read_text()
-                == (tmp_path / "per_layer.txt").read_text())
-        assert flat_losses == losses
+        save_model(tmp_path / "per_layer.txt", params)
+        for dtype, (flat, flat_losses) in trained.items():
+            save_model(tmp_path / f"{dtype}.txt", flat)
+            assert ((tmp_path / f"{dtype}.txt").read_text()
+                    == (tmp_path / "per_layer.txt").read_text()), dtype
+            assert flat_losses == losses, dtype
+
+    def test_one_epoch_allocates_under_56_bytes_per_row(self,
+                                                         traced_bytes_per_row):
+        # At the peak: the normalized copy (24 bytes a row), the epoch
+        # permutation (8) and the loss terms (8).  Float labels, a second
+        # temporary while normalizing and the whole-vector loss took 81.
+        feats, labels = memory_dataset()
+        assert traced_bytes_per_row(
+            lambda: train(feats, labels, TrainConfig(epochs=1, seed=1)),
+            MEMORY_ROWS) <= 56
 
     def test_normalizer_is_fitted_from_the_dataset(self):
         feats, labels = cluster_dataset(27, n_per_class=200)
