@@ -164,8 +164,7 @@ def _blocked_forward(params: MlpParams, x: np.ndarray, block_rows: int,
         if normalizer is None:
             x_block[...] = block
         else:
-            np.subtract(block, normalizer.mean, out=x_block)
-            x_block /= normalizer.std
+            apply_normalizer(block, normalizer, out=x_block)
         a1 = np.matmul(x_block, params.w1.T, out=z1_buf[:k])
         a1 += params.b1
         np.maximum(a1, 0.0, out=a1)  # relu
@@ -178,24 +177,28 @@ def _blocked_forward(params: MlpParams, x: np.ndarray, block_rows: int,
     return out
 
 
-def loss_value(params: MlpParams, x: np.ndarray, y: np.ndarray,
-               lam: float) -> float:
+def loss_value(params: MlpParams, x: np.ndarray, y: np.ndarray, lam: float,
+               normalizer: Optional[FeatureNormalizer] = None) -> float:
     """Mean clamped cross-entropy plus (lam/2m) sum of squared weights.
 
-    The forward pass runs over DETECTOR_BLOCK_ROWS rows at a time (see
-    :func:`_blocked_forward`) into one (m,) vector, the only full-size
-    array this function allocates: the labels stay in their own dtype and
-    are converted a block at a time, and each block's cross-entropy terms
-    overwrite its probabilities.  The mean then reduces the whole vector
-    at once (a mean of per-block sums would round differently), so the
-    loss is the same float as from one forward pass over all m rows.
+    x holds normalized inputs, or raw features when ``normalizer`` is
+    given; each block is then standardized as it is copied in, with the
+    operations of :func:`~inofdm.features.apply_normalizer`, so the loss
+    is the same float as from the normalized rows.  The forward pass runs
+    over DETECTOR_BLOCK_ROWS rows at a time (see :func:`_blocked_forward`)
+    into one (m,) vector, the only full-size array this function
+    allocates: the labels stay in their own dtype and are converted a
+    block at a time, and each block's cross-entropy terms overwrite its
+    probabilities.  The mean then reduces the whole vector at once (a mean
+    of per-block sums would round differently), so the loss is the same
+    float as from one forward pass over all m rows.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     m = len(y)
     if m == 0 or x.shape != (m, LAYER_SIZES[0]):
         raise ValueError("x must be (m, 3) with matching labels")
-    terms = _blocked_forward(params, x, DETECTOR_BLOCK_ROWS)
+    terms = _blocked_forward(params, x, DETECTOR_BLOCK_ROWS, normalizer)
     y_buf, log_buf = np.empty((2, min(DETECTOR_BLOCK_ROWS, m)))
     for start in range(0, m, DETECTOR_BLOCK_ROWS):
         p = terms[start:start + DETECTOR_BLOCK_ROWS]
@@ -220,8 +223,9 @@ def loss_value(params: MlpParams, x: np.ndarray, y: np.ndarray,
 class Workspace:
     """Buffers of :func:`gradients` for up to ``rows`` rows: both hidden
     layers' activations, their backward terms and ReLU masks, the output
-    layer's pre-activation and sigmoid temporaries, and the weight-decay
-    term of every parameter."""
+    layer's pre-activation and sigmoid temporaries, the weight-decay term
+    of every parameter and the gradient, the last two with their
+    :func:`blocks` views made once."""
 
     def __init__(self, rows: int) -> None:
         hidden = [(rows, width) for width in LAYER_SIZES[1:3]]
@@ -231,24 +235,23 @@ class Workspace:
         self.z3 = np.empty((rows, LAYER_SIZES[3]))
         self.dz3, self.denom = np.empty(rows), np.empty(rows)
         self.positive = np.empty(rows, dtype=bool)
-        self.decay = np.empty(N_PARAMS)
-        self.decay_blocks = blocks(self.decay)
+        self.decay, self.grad = np.empty((2, N_PARAMS))
+        self.decay_blocks, self.grad_blocks = blocks(self.decay), blocks(self.grad)
 
 
 def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray, lam: float,
-              out: Optional[np.ndarray] = None,
               work: Optional[Workspace] = None) -> np.ndarray:
     """Analytic gradient of :func:`loss_value`, a (N_PARAMS,) vector.
 
     ReLU uses subgradient 0 at exactly 0; biases carry no L2 term.  The
-    gradient goes into ``out`` and every temporary into ``work`` (of at
-    least len(y) rows) when given, so a loop that passes both allocates no
-    array per call; the result is the same either way.
+    gradient and every temporary go into ``work`` (of at least len(y)
+    rows) when given, so a loop that passes it allocates no array per
+    call, and the returned vector is ``work.grad``, overwritten by the next
+    call; the values are the same either way.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = len(y)
-    out = np.empty(N_PARAMS) if out is None else out
     work = Workspace(m) if work is None else work
     a1, a2, d1, d2, on1, on2, z3, dz3, denom, positive = (
         buf[:m] for buf in (work.a1, work.a2, work.d1, work.d2, work.on1,
@@ -267,7 +270,7 @@ def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray, lam: float,
     z3 += params.b3
     sigmoid(z3[:, 0], out=dz3, denom=denom, positive=positive)   # yhat
     # Backward.
-    g = blocks(out)
+    g = work.grad_blocks
     np.multiply(params.theta, lam / m, out=work.decay)
     decay = work.decay_blocks
     dz3 -= y
@@ -286,7 +289,7 @@ def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray, lam: float,
     np.matmul(d1.T, x, out=g["w1"])
     g["w1"] += decay["w1"]
     np.add.reduce(d1, axis=0, out=g["b1"])
-    return out
+    return work.grad
 
 
 @dataclass
@@ -357,12 +360,15 @@ def train(features: np.ndarray, labels: np.ndarray,
     seeded with ``cfg.seed``, so training is deterministic given (dataset
     order, seed).
 
-    Full-size arrays: the caller's features and labels (kept in their own
-    dtype; each minibatch's labels are converted to float as it is
-    gathered), one C-contiguous normalized copy of the features that every
-    minibatch is gathered from, each epoch's (m,) row permutation, and the
-    (m,) vector of :func:`loss_value`.  ``fit_normalizer``'s standard
-    deviation briefly holds one more (m, 3) temporary.
+    Full-size arrays: the caller's features and labels, each epoch's (m,)
+    row permutation, and the (m,) vector of :func:`loss_value`, taken after
+    the permutation is freed.  Minibatches are gathered from the features
+    themselves (a strided or non-float input is first copied once into a
+    C-contiguous float matrix) into one reused buffer and normalized there,
+    their labels converted to float as they are gathered, and the epoch
+    loss normalizes a block at a time: no normalized copy exists, yet every
+    value is the one it would hold, so the model and the loss trace are
+    unchanged.
 
     Returns:
         (params, per-epoch training loss trace).
@@ -370,7 +376,8 @@ def train(features: np.ndarray, labels: np.ndarray,
     Raises:
         FloatingPointError: If the loss stops being finite (divergence).
     """
-    features = np.asarray(features, dtype=float)
+    # np.take from a strided view copies its whole source on every call.
+    features = np.ascontiguousarray(features, dtype=float)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[1] != LAYER_SIZES[0]:
         raise ValueError(f"features must be (rows, {LAYER_SIZES[0]})")
@@ -378,29 +385,30 @@ def train(features: np.ndarray, labels: np.ndarray,
         raise ValueError("labels must match a nonempty feature matrix")
     rng = np.random.default_rng(cfg.seed)
     normalizer = fit_normalizer(features)
-    x = apply_normalizer(features, normalizer)
     params = init_params(rng, normalizer, train_seed=cfg.seed)
     state = AdamState(eta=cfg.eta)
     losses: List[float] = []
     n_rows = len(labels)
-    # One minibatch, gradient and workspace for every step; Adam updates
-    # params in place.
+    # One minibatch and workspace for every step; Adam updates params in
+    # place.
     rows = min(cfg.batch_size, n_rows)
     x_batch, y_batch = np.empty((rows, LAYER_SIZES[0])), np.empty(rows)
     y_taken = np.empty(rows, labels.dtype)
-    grad, work = np.empty(N_PARAMS), Workspace(rows)
+    work = Workspace(rows)
     for _ in range(cfg.epochs):
         order = rng.permutation(n_rows)
         for start in range(0, n_rows, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             k = len(batch)
-            np.take(x, batch, axis=0, out=x_batch[:k], mode="clip")
+            x_k = x_batch[:k]
+            np.take(features, batch, axis=0, out=x_k, mode="clip")
+            apply_normalizer(x_k, normalizer, out=x_k)
             np.take(labels, batch, out=y_taken[:k], mode="clip")
             y_batch[:k] = y_taken[:k]
-            gradients(params, x_batch[:k], y_batch[:k], cfg.lam, out=grad,
-                      work=work)
+            grad = gradients(params, x_k, y_batch[:k], cfg.lam, work=work)
             adam_step(state, params, grad, out=params)
-        epoch_loss = loss_value(params, x, labels, cfg.lam)
+        del order, batch    # the loss's (m,) vector needs the room
+        epoch_loss = loss_value(params, features, labels, cfg.lam, normalizer)
         if not np.isfinite(epoch_loss):
             raise FloatingPointError(
                 f"training diverged at epoch {len(losses) + 1}")

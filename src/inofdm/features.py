@@ -36,6 +36,7 @@ magnitudes), so they share no sort.
 from __future__ import annotations
 
 import os
+import warnings
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
@@ -188,23 +189,41 @@ class FeatureNormalizer:
 
 def fit_normalizer(features: np.ndarray) -> FeatureNormalizer:
     """Fit z-score constants; degenerate (constant) features get unit-free
-    treatment through the std floor rather than a division by zero."""
+    treatment through the std floor rather than a division by zero.
+
+    The mean is ``features.mean(axis=0)``.  The squared deviations are
+    summed DETECTOR_BLOCK_ROWS rows at a time in one reused buffer, whose
+    first row carries the running column sums into the next block, so the
+    sum runs row by row as numpy's axis-0 reduction of a C-contiguous
+    matrix does: the std equals ``features.std(axis=0)`` bit for bit, and
+    no (rows, 3) temporary is allocated.
+    """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError("expected a (rows, n_features) matrix")
     mean = features.mean(axis=0)
-    std = np.maximum(features.std(axis=0), STD_FLOOR)
+    rows = len(features)
+    squares = np.zeros((min(DETECTOR_BLOCK_ROWS, rows) + 1, features.shape[1]))
+    for start in range(0, rows, DETECTOR_BLOCK_ROWS):
+        block = features[start:start + DETECTOR_BLOCK_ROWS]
+        deviations = squares[1:len(block) + 1]
+        np.subtract(block, mean, out=deviations)
+        np.square(deviations, out=deviations)
+        np.add.reduce(squares[:len(block) + 1], axis=0, out=squares[0])
+    variance = np.divide(squares[0], rows)
+    std = np.maximum(np.sqrt(variance, out=variance), STD_FLOOR)
     return FeatureNormalizer(mean=mean, std=std)
 
 
-def apply_normalizer(features: np.ndarray,
-                     normalizer: FeatureNormalizer) -> np.ndarray:
-    """Standardize features with previously fitted constants, into one
-    new C-contiguous array."""
+def apply_normalizer(features: np.ndarray, normalizer: FeatureNormalizer,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Standardize features with previously fitted constants, (features -
+    mean) / std, into ``out`` (features' shape; it may be ``features``
+    itself) or else one new C-contiguous array."""
     features = np.asarray(features, dtype=float)
     if features.shape[-1] != len(normalizer.mean):
         raise ValueError("feature count does not match the normalizer")
-    out = np.subtract(features, normalizer.mean, order="C")
+    out = np.subtract(features, normalizer.mean, out=out, order="C")
     out /= normalizer.std
     return out
 
@@ -224,12 +243,14 @@ def apply_normalizer(features: np.ndarray,
 # worker are in flight, and the parent writes them in file order.  The
 # reader parses the metadata and the header line by line, then splits the
 # data rows at line starts into one byte range per worker, each of at least
-# READ_RANGE_BYTES, and counts their lines.  A worker reads its range a line
-# at a time into numpy's C text parser (np.loadtxt, which rounds correctly
-# and needs no per-row Python objects) and copies the rows' features and
-# labels to their place in two arrays in shared mappings, which are the
-# arrays returned.  A row that is not four numbers, or whose label is not 0
-# or 1, raises a ValueError that names its line in the file.
+# READ_RANGE_BYTES, and counts their lines.  A worker reads its range in
+# pieces of PARSE_PIECE_LINES lines, each a line at a time into numpy's C
+# text parser (np.loadtxt, which rounds correctly and needs no per-row
+# Python objects), and copies each piece's features and labels to their
+# place in two arrays in shared mappings, which are the arrays returned:
+# the one piece in flight is the reader's only row-sized temporary.  A row
+# that is not four numbers, whose features are not finite or whose label is
+# not 0 or 1 raises a ValueError that names its line in the file.
 
 #: Rows formatted per job of :func:`write_dataset`.
 DATASET_BLOCK_ROWS = 4096
@@ -240,6 +261,9 @@ _DATASET_ROW = "%.17g,%.17g,%.17g,%d\n"
 READ_RANGE_BYTES = 1 << 17
 #: Bytes per read while :func:`read_dataset` counts lines.
 _COUNT_PIECE = 1 << 20
+#: Lines per np.loadtxt call of a :func:`read_dataset` worker, whose
+#: (lines, 4) float result takes 32 bytes a line.
+PARSE_PIECE_LINES = 1 << 15
 
 
 def _format_rows(state: tuple, start: int) -> str:
@@ -258,7 +282,7 @@ def write_dataset(path, features: np.ndarray, labels: np.ndarray,
 
     Args:
         path: Destination file.
-        features: Shape (rows, 3).
+        features: Shape (rows, 3), finite.
         labels: Shape (rows,), values 0/1.
         metadata: Ordered key=value pairs (e.g. config_hash, seed) emitted
             as '#'-prefixed lines before the header.
@@ -273,6 +297,11 @@ def write_dataset(path, features: np.ndarray, labels: np.ndarray,
     if bad.size:
         raise ValueError(f"labels must be 0 or 1, row {bad[0]} holds "
                          f"{labels[bad[0]]}")
+    # The extremes are finite exactly when every feature is (NaN propagates).
+    if features.size and not np.isfinite([features.min(), features.max()]).all():
+        row = np.flatnonzero(~np.isfinite(features).all(axis=1))[0]
+        raise ValueError(f"features must be finite, row {row} holds "
+                         f"{features[row].tolist()}")
     with open(path, "w", encoding="ascii") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}={value}\n")
@@ -323,34 +352,54 @@ def _raise_bad_line(path, lines: Iterable[str], first_line: int) -> None:
                 reason = f"dataset rows must hold 4 values, got {row.shape[1]}"
             elif row[0, 3] not in (0.0, 1.0):
                 reason = f"label {row[0, 3]:g} is not 0 or 1"
+            elif not np.isfinite(row[0, :3]).all():
+                reason = f"features must be finite, got {row[0, :3].tolist()}"
             else:
                 continue
         raise ValueError(f"{path}, line {line_no}: {reason}")
     raise ValueError(f"{path}: malformed rows from line {first_line}")
 
 
+def _parse_piece(lines: Iterable[str]) -> Optional[np.ndarray]:
+    """The dataset rows among ``lines`` as a (rows, 4) float array, or None
+    when one of them is not a valid row."""
+    with warnings.catch_warnings():
+        # np.loadtxt warns of a piece of blank or comment lines alone.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+        except ValueError:
+            return None
+    if not rows.size:
+        return rows.reshape(0, 4)
+    if (rows.shape[1] != 4 or not ((rows[:, 3] == 0) | (rows[:, 3] == 1)).all()
+            or not np.isfinite(rows[:, :3]).all()):
+        return None
+    return rows
+
+
 def _parse_rows(state: tuple, start: int, n_lines: int, row0: int) -> int:
     """Parse the ``n_lines`` lines from byte ``start`` of the dataset
     ``state`` (path, file line of data row 0, features, labels) into its
-    rows from ``row0``, which ``row0`` lines precede; returns the rows
-    parsed."""
+    rows from ``row0``, which ``row0`` lines precede, PARSE_PIECE_LINES
+    lines at a time; returns the rows parsed."""
     path, data_line, features, labels = state
+    row = row0
     # Text lines, split at '\n' alone as the line count was: np.loadtxt
     # parses them about twice as fast as bytes lines.
     with open(path, "r", encoding="ascii", newline="\n") as fh:
         fh.seek(start)
-        try:
-            rows = np.loadtxt(islice(fh, n_lines), delimiter=",", ndmin=2)
-        except ValueError:
-            rows = None
-        if rows is None or rows.size and (
-                rows.shape[1] != 4
-                or not ((rows[:, 3] == 0) | (rows[:, 3] == 1)).all()):
-            fh.seek(start)
-            _raise_bad_line(path, islice(fh, n_lines), data_line + row0)
-    features[row0:row0 + len(rows)] = rows[:, :3]
-    labels[row0:row0 + len(rows)] = rows[:, 3]
-    return len(rows)
+        for done in range(0, n_lines, PARSE_PIECE_LINES):
+            rows = _parse_piece(islice(fh, min(PARSE_PIECE_LINES,
+                                               n_lines - done)))
+            if rows is None:
+                # The earlier pieces were valid: the first bad line is here.
+                fh.seek(start)
+                _raise_bad_line(path, islice(fh, n_lines), data_line + row0)
+            features[row:row + len(rows)] = rows[:, :3]
+            labels[row:row + len(rows)] = rows[:, 3]
+            row += len(rows)
+    return row - row0
 
 
 def read_dataset(path) -> Tuple[np.ndarray, np.ndarray, Dict[str, str]]:
@@ -365,8 +414,8 @@ def read_dataset(path) -> Tuple[np.ndarray, np.ndarray, Dict[str, str]]:
 
     Raises:
         ValueError: On a missing or wrong header, or a data row that does
-            not hold exactly four numbers with a label of 0 or 1; a row's
-            error names its line in the file.
+            not hold exactly four numbers, three finite features and a
+            label of 0 or 1; a row's error names its line in the file.
     """
     metadata: Dict[str, str] = {}
     with open(path, "rb") as fh:

@@ -8,10 +8,12 @@ is made reaches them without a copy: the pool's job function and its
 :func:`shared_array`, which the workers write and the parent reads.  Only
 job arguments and replies cross the pipes.
 
-Before the first fork the parent imports ``numpy.random`` and
-``numpy.fft``.  numpy loads them on first use, and the parent of a pool
-may never run a job itself, so without this every worker of every pool
-would import them again (12-19 ms of import time on a 2-vCPU Xeon).
+Before the first fork the parent imports ``numpy.random``, ``numpy.fft``
+and ``numpy.ma`` (which np.median's NaN check loads).  numpy loads them on
+first use, and the parent of a pool may never run a job itself, so
+without this every worker of every pool would import them again (12-19 ms
+of import time for the first two, 12-17 ms for numpy.ma, on a 2-vCPU
+Xeon).  Set-up code that forks no pool loads none of them.
 
 With one usable CPU, or one job, nothing is forked and every job runs in
 the calling process, on the same ``state``.
@@ -104,6 +106,7 @@ class Pool:
     def __init__(self, workers: int, job: Callable, state: tuple = ()) -> None:
         # numpy loads these on first use: once here, not in every worker.
         import numpy.fft     # noqa: F401
+        import numpy.ma      # noqa: F401
         import numpy.random  # noqa: F401
         from multiprocessing import get_context
         context = get_context("fork")

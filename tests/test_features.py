@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from inofdm import workers
 from inofdm.features import (
     DATASET_BLOCK_ROWS,
+    PARSE_PIECE_LINES,
     READ_RANGE_BYTES,
     DETECTOR_BLOCK_ROWS,
+    STD_FLOOR,
     FeatureNormalizer,
     _median_network,
     _odd_even_merge_sort,
@@ -329,6 +331,29 @@ def test_constant_feature_hits_std_floor():
     assert np.isfinite(z).all()
 
 
+@pytest.mark.parametrize("rows", [1, DETECTOR_BLOCK_ROWS - 1, DETECTOR_BLOCK_ROWS,
+                                  DETECTOR_BLOCK_ROWS + 1,
+                                  3 * DETECTOR_BLOCK_ROWS + 7])
+def test_blockwise_fit_equals_numpy_mean_and_std_bit_for_bit(rows):
+    rng = np.random.default_rng(rows)
+    feats = np.abs(rng.standard_normal((rows, 3))) * 10.0 ** rng.integers(-4, 5, (rows, 3))
+    feats[:, 1] += 1e6      # deviations far below the mean's magnitude
+    constant = feats.copy()
+    constant[:, 2] = 0.3    # a constant column: std 0 or rounding noise
+    for matrix in (feats, constant):
+        norm = fit_normalizer(matrix)
+        assert norm.mean.tobytes() == matrix.mean(axis=0).tobytes()
+        assert norm.std.tobytes() == np.maximum(matrix.std(axis=0),
+                                                STD_FLOOR).tobytes()
+
+
+def test_fit_normalizer_allocates_under_2_bytes_per_row(traced_bytes_per_row):
+    # Block buffers only; numpy's std allocated an (m, 3) temporary, 24
+    # bytes a row.
+    feats = np.random.default_rng(9).standard_normal((200_000, 3))
+    assert traced_bytes_per_row(lambda: fit_normalizer(feats), 200_000) <= 2
+
+
 def test_normalizer_validation():
     with pytest.raises(ValueError):
         FeatureNormalizer(mean=np.zeros(3), std=np.zeros(3))
@@ -382,7 +407,9 @@ def per_row_writer(path, features, labels, metadata):
 def test_block_writer_matches_per_row_writer(tmp_path, rows):
     rng = np.random.default_rng(rows)
     feats = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
-    special = np.array([-0.0, 5e-324, 1e300, np.inf, 0.1, -np.inf])
+    # The writer rejects non-finite features: the largest floats stand in.
+    big = np.finfo(float).max
+    special = np.array([-0.0, 5e-324, 1e300, big, 0.1, -big])
     feats.ravel()[:len(special)] = special[:feats.size]
     labels = rng.integers(0, 2, rows).astype(np.uint8)
     meta = {"config_hash": "abc", "seed": "7"}
@@ -516,7 +543,8 @@ def test_reader_takes_a_last_row_without_newline_and_blank_lines(
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("bad", ["1,2,x,0", "1,2,3", "1,2,3,0,9", "1,2,3,2",
-                                 "1,2,3,-1", "1,2,3,0.5", "1,2,3,nan"])
+                                 "1,2,3,-1", "1,2,3,0.5", "1,2,3,nan",
+                                 "nan,2,3,0", "1,inf,3,1", "1,2,-inf,0"])
 def test_reader_names_the_file_line_of_a_bad_last_row(monkeypatch, tmp_path,
                                                        cpus, bad):
     rows = 2 * DATASET_BLOCK_ROWS + 1
@@ -526,6 +554,76 @@ def test_reader_names_the_file_line_of_a_bad_last_row(monkeypatch, tmp_path,
     # Line 1 is metadata, line 2 the header.
     with pytest.raises(ValueError, match=f"line {rows + 2}: "):
         _on_cpus(monkeypatch, cpus, read_dataset, path)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("bad", ["1,2,x,0", "1,inf,3,1", "1,2,3,2"])
+def test_reader_names_the_line_of_a_bad_row_past_the_first_piece(
+        monkeypatch, tmp_path, cpus, bad):
+    lines = _rows_text(3 * PARSE_PIECE_LINES,
+                       np.zeros(3 * PARSE_PIECE_LINES, int)).splitlines(keepends=True)
+    lines[5:5] = ["\n", "# note\n"]      # pieces count lines, not rows
+    lines[PARSE_PIECE_LINES] = bad + "\n"  # the first line of the second piece
+    path = tmp_path / "d.csv"
+    path.write_text("# seed=1\nx1,x2,x3,label\n" + "".join(lines))
+    # Line 1 is metadata, line 2 the header.
+    with pytest.raises(ValueError, match=f"line {PARSE_PIECE_LINES + 3}: "):
+        _on_cpus(monkeypatch, cpus, read_dataset, path)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_reader_compacts_blank_lines_across_piece_boundaries(monkeypatch, tmp_path,
+                                                             cpus):
+    rows = 3 * PARSE_PIECE_LINES
+    labels = np.random.default_rng(5).integers(0, 2, rows)
+    lines = _rows_text(rows, labels).splitlines(keepends=True)
+    # Two blank or comment lines on each side of the first piece boundary,
+    # then a whole piece of them.
+    lines[PARSE_PIECE_LINES - 2:PARSE_PIECE_LINES - 2] = ["\n", "# a\n", "\n", "# b\n"]
+    at = 2 * PARSE_PIECE_LINES
+    lines[at:at] = ["\n" if i % 3 else "# note\n" for i in range(PARSE_PIECE_LINES)]
+    path = tmp_path / "d.csv"
+    path.write_text("x1,x2,x3,label\n" + "".join(lines))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (feats, got, _), _ = _on_cpus(monkeypatch, cpus, read_dataset, path)
+    np.testing.assert_array_equal(got, labels)
+    np.testing.assert_array_equal(feats[:, 1], np.arange(rows))
+    np.testing.assert_array_equal(feats[:, 2], -np.arange(rows))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_reader_takes_a_range_of_blank_lines_alone(monkeypatch, tmp_path, cpus):
+    # On two CPUs the second range holds no row; its empty parse once
+    # raised an IndexError.
+    rows = 1000
+    path = tmp_path / "d.csv"
+    path.write_text("x1,x2,x3,label\n" + _rows_text(rows, np.zeros(rows, int))
+                    + "\n" * (3 * READ_RANGE_BYTES))
+    (feats, got, _), _ = _on_cpus(monkeypatch, cpus, read_dataset, path)
+    np.testing.assert_array_equal(feats[:, 1], np.arange(rows))
+    np.testing.assert_array_equal(got, np.zeros(rows))
+
+
+def test_one_cpu_read_peaks_under_6_mb(monkeypatch, tmp_path, traced_bytes_per_row):
+    # One np.loadtxt piece at a time; a (rows, 4) parse of the whole range
+    # took 14.5 MB.
+    rows = 409_600
+    path = tmp_path / "d.csv"
+    path.write_text("x1,x2,x3,label\n" + _rows_text(rows, np.zeros(rows, int)))
+    peak = traced_bytes_per_row(
+        lambda: _on_cpus(monkeypatch, 1, read_dataset, path), 1)
+    assert peak <= 6e6
+
+
+@pytest.mark.parametrize("row", [1, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_writer_rejects_non_finite_features(tmp_path, row, value):
+    feats = np.zeros((4, 3))
+    feats[row, row % 3] = value
+    with pytest.raises(ValueError, match=f"features must be finite, row {row}"):
+        write_dataset(tmp_path / "x.csv", feats, np.zeros(4))
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("label", [-1, 0.5, 2, np.nan])

@@ -555,15 +555,36 @@ class TestTraining:
                     == (tmp_path / "per_layer.txt").read_text()), dtype
             assert flat_losses == losses, dtype
 
-    def test_one_epoch_allocates_under_56_bytes_per_row(self,
+    def test_one_epoch_allocates_under_20_bytes_per_row(self,
                                                          traced_bytes_per_row):
-        # At the peak: the normalized copy (24 bytes a row), the epoch
-        # permutation (8) and the loss terms (8).  Float labels, a second
-        # temporary while normalizing and the whole-vector loss took 81.
+        # At the peak: the loss terms (8 bytes a row) or the epoch
+        # permutation (8), never both, plus the forward blocks' buffers
+        # (about 6 at this size): 15.  A normalized copy of the features
+        # (24) and numpy's std temporary (24) took 47; holding the
+        # permutation through the loss would take 23.
         feats, labels = memory_dataset()
         assert traced_bytes_per_row(
             lambda: train(feats, labels, TrainConfig(epochs=1, seed=1)),
-            MEMORY_ROWS) <= 56
+            MEMORY_ROWS) <= 20
+
+    def test_strided_features_train_as_their_contiguous_copy(self):
+        feats, labels = cluster_dataset(30, n_per_class=300)
+        wide = np.column_stack([feats, labels])   # read as one (m, 4) array
+        cfg = TrainConfig(epochs=2, batch_size=64, seed=4)
+        strided, strided_losses = train(wide[:, :3], wide[:, 3], cfg)
+        contiguous, losses = train(feats, labels, cfg)
+        assert strided.theta.tobytes() == contiguous.theta.tobytes()
+        assert strided_losses == losses
+
+    def test_leaves_its_features_and_labels_unchanged(self):
+        # Minibatches are normalized in a buffer of their own, never in
+        # the caller's rows: read-only inputs would raise.
+        feats, labels = cluster_dataset(29, n_per_class=300)
+        labels = labels.astype(np.uint8)
+        want = feats.tobytes(), labels.tobytes()
+        feats.flags.writeable = labels.flags.writeable = False
+        train(feats, labels, TrainConfig(epochs=2, batch_size=64, seed=2))
+        assert (feats.tobytes(), labels.tobytes()) == want
 
     def test_normalizer_is_fitted_from_the_dataset(self):
         feats, labels = cluster_dataset(27, n_per_class=200)

@@ -1,6 +1,10 @@
 """Tests for OFDM modulation, the sparse fading channel, and equalization."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,52 @@ def test_nulls_sit_at_band_edges(cfg):
     # Guard carriers are the lowest/highest non-pilot indices.
     assert cfg.null_carriers.max() == 1023
     assert np.all((cfg.null_carriers < 64) | (cfg.null_carriers >= 960))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: A command's set-up: import the package, load a config and its model,
+#: build the carrier grid; prints whether numpy.ma got imported.
+SETUP_CODE = """\
+import sys
+from inofdm import cli, config, dnn
+cfg = config.load_config("configs/bg_sir0.cfg")
+dnn.load_model(cfg.model_path)
+cfg.ofdm.null_carriers, cfg.ofdm.data_carriers, cfg.ofdm.active_carriers
+print("numpy.ma" in sys.modules)
+"""
+
+
+def setdiff1d_carriers(cfg):
+    """(null, data) carriers built with np.setdiff1d, as the grid once was."""
+    others = np.setdiff1d(np.arange(cfg.n_fft), cfg.pilot_carriers)
+    half = cfg.n_null // 2
+    null = np.concatenate([others[:half], others[len(others) - half:]])
+    data = np.setdiff1d(np.arange(cfg.n_fft),
+                        np.concatenate([cfg.pilot_carriers, null]))
+    return null, data
+
+
+def test_carrier_grid_leaves_numpy_ma_unloaded_and_unchanged():
+    # np.setdiff1d imports numpy.ma through np.unique: 9-12 ms of a launch.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", SETUP_CODE], cwd=ROOT,
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+    for n_fft in (8, 64, 1024):
+        for spacing in (1, 2, 3, 4, 7):
+            non_pilot = n_fft - len(range(0, n_fft, spacing))
+            for n_null in {0, 2, non_pilot // 4 * 2, non_pilot // 2 * 2}:
+                if n_null > non_pilot:
+                    continue
+                grid = OfdmConfig(n_fft=n_fft, cp_len=1, pilot_spacing=spacing,
+                                  n_null=n_null)
+                null, data = setdiff1d_carriers(grid)
+                for got, want in ((grid.null_carriers, null),
+                                  (grid.data_carriers, data)):
+                    assert got.dtype == want.dtype, (n_fft, spacing, n_null)
+                    np.testing.assert_array_equal(got, want)
 
 
 def test_invalid_partition_rejected():
