@@ -361,14 +361,14 @@ def train(features: np.ndarray, labels: np.ndarray,
     order, seed).
 
     Full-size arrays: the caller's features and labels, each epoch's (m,)
-    row permutation, and the (m,) vector of :func:`loss_value`, taken after
+    row permutation, and the (m,) vector of :func:`loss_value`, made after
     the permutation is freed.  Minibatches are gathered from the features
-    themselves (a strided or non-float input is first copied once into a
-    C-contiguous float matrix) into one reused buffer and normalized there,
-    their labels converted to float as they are gathered, and the epoch
-    loss normalizes a block at a time: no normalized copy exists, yet every
-    value is the one it would hold, so the model and the loss trace are
-    unchanged.
+    themselves (first copied once into a C-contiguous float matrix when
+    they are not one) into one reused buffer and normalized there, their
+    labels converted to float as they are gathered, and the epoch loss
+    normalizes a block at a time: no normalized copy of the features
+    exists, and every normalized value equals ``apply_normalizer``'s over
+    all rows.
 
     Returns:
         (params, per-epoch training loss trace).
