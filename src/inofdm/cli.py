@@ -47,12 +47,30 @@ def _load(args: argparse.Namespace,
     return config_mod.load_config(args.config, overrides)
 
 
-def _check_out_dirs(*paths) -> None:
-    """Fail before any work when an output file's directory is missing."""
+def _check_out_files(*paths, inputs=()) -> None:
+    """Fail before any work when an output file's directory is missing,
+    when it is an existing directory, or when it is the same file as
+    another output or as one of ``inputs``."""
     for path in paths:
         if not Path(path).parent.is_dir():
             raise ValueError(f"output directory {str(Path(path).parent)!r} "
                              f"of {str(path)!r} does not exist")
+        if Path(path).is_dir():
+            raise ValueError(f"output file {str(path)!r} is a directory")
+    for i, path in enumerate(paths):
+        for kind, others in (("output", paths[:i]), ("input", inputs)):
+            for other in others:
+                if _same_file(path, other):
+                    raise ValueError(f"output file {str(path)!r} is the same "
+                                     f"file as the {kind} {str(other)!r}")
+
+
+def _same_file(a, b) -> bool:
+    """Whether paths ``a`` and ``b`` name one file, through links too."""
+    a, b = Path(a), Path(b)
+    if a.exists() and b.exists():
+        return a.samefile(b)
+    return a.resolve() == b.resolve()
 
 
 def _check_out_tree(path) -> None:
@@ -68,7 +86,7 @@ def _check_out_tree(path) -> None:
 
 def _cmd_gen_dataset(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    _check_out_dirs(args.out)
+    _check_out_files(args.out)
     features, labels = link.generate_dataset(cfg)
     write_dataset(args.out, features, labels,
                   metadata={"config_hash": cfg.config_hash,
@@ -81,7 +99,7 @@ def _cmd_gen_dataset(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load(args)
     loss_path = args.loss_out or (str(args.out) + ".loss.csv")
-    _check_out_dirs(args.out, loss_path)
+    _check_out_files(args.out, loss_path, inputs=(args.data,))
     features, labels, meta = read_dataset(args.data)
     params, losses = dnn.train(features, labels, cfg.train_config)
     dnn.save_model(args.out, params)
@@ -148,7 +166,7 @@ def _cmd_ber_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
-    _check_out_dirs(args.out)
+    _check_out_files(args.out)
     curve_paths = sorted(Path(args.curves).glob("curve_*.csv"))
     if not curve_paths:
         raise ValueError(f"no curve_*.csv files under {args.curves}")

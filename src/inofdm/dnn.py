@@ -26,13 +26,17 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .features import (DETECTOR_BLOCK_ROWS, FeatureNormalizer,
-                       apply_normalizer, fit_normalizer)
+                       apply_normalizer, fit_normalizer, row_permutation)
 
 #: Layer widths, input to output.
 LAYER_SIZES = (3, 20, 10, 1)
 
 #: Probability clamp used inside the cross-entropy.
 EPS_CLAMP = 1e-12
+
+#: Minibatches of :func:`train` whose row indices are converted from the
+#: epoch's int32 permutation to intp in one call.
+INDEX_RUN_BATCHES = 32
 
 #: Adam's moment decay rates and denominator offset.
 ADAM_BETA1 = 0.9
@@ -138,43 +142,93 @@ def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return sigmoid(z3[:, 0])
 
 
-def _blocked_forward(params: MlpParams, x: np.ndarray, block_rows: int,
-                     normalizer: Optional[FeatureNormalizer] = None) -> np.ndarray:
-    """Probabilities for (m, 3) inputs, ``block_rows`` rows at a time.
+def _forward_buffers(rows: int) -> tuple:
+    """The input and layer buffers of :func:`_forward_rows` for up to
+    ``rows`` rows: a column-major (rows, 3) input and one (rows, width)
+    matrix per layer."""
+    return (np.empty((rows, LAYER_SIZES[0]), order="F"),
+            *(np.empty((rows, width)) for width in LAYER_SIZES[1:]))
 
-    Every block runs the layers of :func:`forward` in the same order, but
-    into buffers reused by every block, and its probabilities go straight
-    into one preallocated (m,) output: no activation-sized temporary is
-    allocated per block.  The block's inputs are copied (with ``normalizer``,
-    standardized: x then holds raw features) into a column-major buffer,
-    because OpenBLAS multiplies a tall 3-column matrix held that way about
-    three times faster than a row-major one; the product is the same
-    matrix product, and the tests compare the output byte for byte with
-    one :func:`forward` over all m rows.  A row's probability does not
+
+def _forward_rows(params: MlpParams, block: np.ndarray,
+                  normalizer: Optional[FeatureNormalizer], buffers: tuple,
+                  out: np.ndarray) -> None:
+    """Probabilities of the rows of ``block`` into ``out``, through
+    ``buffers`` (from :func:`_forward_buffers`).
+
+    The layers of :func:`forward` run in the same order, into the buffers
+    instead of new arrays.  The rows are copied (with ``normalizer``,
+    standardized: ``block`` then holds raw features) into the column-major
+    input buffer, because OpenBLAS multiplies a tall 3-column matrix held
+    that way about three times faster than a row-major one; the product is
+    the same matrix product, and the tests compare the output byte for byte
+    with one :func:`forward` over all rows.  A row's probability does not
     depend on the other rows of its block.
     """
-    out = np.empty(len(x))
-    rows = min(block_rows, len(x))
-    x_buf = np.empty((rows, LAYER_SIZES[0]), order="F")
-    z1_buf, z2_buf, z3_buf = (np.empty((rows, width)) for width in LAYER_SIZES[1:])
-    for start in range(0, len(x), block_rows):
-        block = x[start:start + block_rows]
-        k = len(block)
-        x_block = x_buf[:k]
-        if normalizer is None:
-            x_block[...] = block
-        else:
-            apply_normalizer(block, normalizer, out=x_block)
-        a1 = np.matmul(x_block, params.w1.T, out=z1_buf[:k])
-        a1 += params.b1
-        np.maximum(a1, 0.0, out=a1)  # relu
-        a2 = np.matmul(a1, params.w2.T, out=z2_buf[:k])
-        a2 += params.b2
-        np.maximum(a2, 0.0, out=a2)
-        z3 = np.matmul(a2, params.w3.T, out=z3_buf[:k])
-        z3 += params.b3
-        out[start:start + k] = sigmoid(z3[:, 0])
-    return out
+    k = len(block)
+    x_block, z1, z2, z3 = (buf[:k] for buf in buffers)
+    if normalizer is None:
+        x_block[...] = block
+    else:
+        apply_normalizer(block, normalizer, out=x_block)
+    a1 = np.matmul(x_block, params.w1.T, out=z1)
+    a1 += params.b1
+    np.maximum(a1, 0.0, out=a1)  # relu
+    a2 = np.matmul(a1, params.w2.T, out=z2)
+    a2 += params.b2
+    np.maximum(a2, 0.0, out=a2)
+    np.matmul(a2, params.w3.T, out=z3)
+    z3 += params.b3
+    sigmoid(z3[:, 0], out=out)
+
+
+def _pairwise_split(rows: int) -> int:
+    """Rows in the first half of a node of numpy's pairwise summation:
+    half, rounded down to a multiple of 8."""
+    half = rows // 2
+    return half - half % 8
+
+
+def _largest_leaf(rows: int) -> int:
+    """Rows of the largest leaf of :func:`_pairwise_loss_sum` over
+    ``rows`` rows."""
+    if rows <= DETECTOR_BLOCK_ROWS:
+        return rows
+    half = _pairwise_split(rows)
+    return max(_largest_leaf(half), _largest_leaf(rows - half))
+
+
+def _pairwise_loss_sum(state: tuple, start: int, stop: int) -> float:
+    """Sum of the cross-entropy terms of rows ``start`` to ``stop`` of
+    ``state`` (params, x, y, normalizer, buffers), in numpy's pairwise
+    summation order.
+
+    Above DETECTOR_BLOCK_ROWS rows a node splits as numpy's pairwise sum
+    of a contiguous float64 vector does (:func:`_pairwise_split`) and adds
+    its halves; below, numpy's own tree of the node is one
+    ``np.add.reduce`` over its terms, made in ``buffers``.  The sum is
+    therefore the float that ``np.add.reduce`` returns over all m terms.
+    """
+    rows = stop - start
+    if rows > DETECTOR_BLOCK_ROWS:
+        middle = start + _pairwise_split(rows)
+        return (_pairwise_loss_sum(state, start, middle)
+                + _pairwise_loss_sum(state, middle, stop))
+    params, x, y, normalizer, (y_buf, log_buf, p_buf, *forward_bufs) = state
+    y_k, log_p, p = y_buf[:rows], log_buf[:rows], p_buf[:rows]
+    _forward_rows(params, x[start:stop], normalizer, forward_bufs, p)
+    y_k[...] = y[start:stop]
+    # y log(p) + (1 - y) log(1 - p), p clamped, each operation as in the
+    # whole-vector expression.
+    np.clip(p, EPS_CLAMP, 1.0 - EPS_CLAMP, out=p)
+    np.log(p, out=log_p)
+    log_p *= y_k
+    np.subtract(1.0, p, out=p)
+    np.log(p, out=p)
+    np.subtract(1.0, y_k, out=y_k)
+    p *= y_k
+    np.add(log_p, p, out=p)
+    return float(np.add.reduce(p))
 
 
 def loss_value(params: MlpParams, x: np.ndarray, y: np.ndarray, lam: float,
@@ -182,40 +236,27 @@ def loss_value(params: MlpParams, x: np.ndarray, y: np.ndarray, lam: float,
     """Mean clamped cross-entropy plus (lam/2m) sum of squared weights.
 
     x holds normalized inputs, or raw features when ``normalizer`` is
-    given; each block is then standardized as it is copied in, with the
+    given; rows are then standardized as they are copied in, with the
     operations of :func:`~inofdm.features.apply_normalizer`, so the loss
-    is the same float as from the normalized rows.  The forward pass runs
-    over DETECTOR_BLOCK_ROWS rows at a time (see :func:`_blocked_forward`)
-    into one (m,) vector, the only full-size array this function
-    allocates: the labels stay in their own dtype and are converted a
-    block at a time, and each block's cross-entropy terms overwrite its
-    probabilities.  The mean then reduces the whole vector at once (a mean
-    of per-block sums would round differently), so the loss is the same
-    float as from one forward pass over all m rows.
+    is the same float as from the normalized rows.  The cross-entropy
+    terms are summed along numpy's pairwise summation tree (Higham, "The
+    accuracy of floating point summation", SIAM J. Sci. Comput. 14(4),
+    1993), a leaf of at most DETECTOR_BLOCK_ROWS rows at a time (see
+    :func:`_pairwise_loss_sum`): each leaf's forward pass and terms go
+    into buffers of the largest leaf's size, the labels converted to float
+    a leaf at a time, and no (m,) array is allocated.  The sum is the one
+    ``np.mean`` takes over all m terms, so the loss is the same float as
+    from one forward pass over all m rows.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     m = len(y)
     if m == 0 or x.shape != (m, LAYER_SIZES[0]):
         raise ValueError("x must be (m, 3) with matching labels")
-    terms = _blocked_forward(params, x, DETECTOR_BLOCK_ROWS, normalizer)
-    y_buf, log_buf = np.empty((2, min(DETECTOR_BLOCK_ROWS, m)))
-    for start in range(0, m, DETECTOR_BLOCK_ROWS):
-        p = terms[start:start + DETECTOR_BLOCK_ROWS]
-        k = len(p)
-        y_k, log_p = y_buf[:k], log_buf[:k]
-        y_k[...] = y[start:start + k]
-        # y log(p) + (1 - y) log(1 - p), p clamped, each operation as in
-        # the whole-vector expression.
-        np.clip(p, EPS_CLAMP, 1.0 - EPS_CLAMP, out=p)
-        np.log(p, out=log_p)
-        log_p *= y_k
-        np.subtract(1.0, p, out=p)
-        np.log(p, out=p)
-        np.subtract(1.0, y_k, out=y_k)
-        p *= y_k
-        np.add(log_p, p, out=p)
-    bce = -np.mean(terms)
+    leaf = _largest_leaf(m)
+    buffers = (*np.empty((3, leaf)), *_forward_buffers(leaf))
+    total = _pairwise_loss_sum((params, x, y, normalizer, buffers), 0, m)
+    bce = -(total / m)
     penalty = sum(float(np.sum(w ** 2)) for w in (params.w1, params.w2, params.w3))
     return float(bce + lam / (2.0 * m) * penalty)
 
@@ -360,15 +401,19 @@ def train(features: np.ndarray, labels: np.ndarray,
     seeded with ``cfg.seed``, so training is deterministic given (dataset
     order, seed).
 
-    Full-size arrays: the caller's features and labels, each epoch's (m,)
-    row permutation, and the (m,) vector of :func:`loss_value`, made after
-    the permutation is freed.  Minibatches are gathered from the features
+    Full-size arrays: the caller's features and labels, and each epoch's
+    (m,) row permutation in 4-byte indices (see
+    :func:`~inofdm.features.row_permutation`; the same order as
+    ``rng.permutation``), freed before the next one is drawn.  The indices
+    of INDEX_RUN_BATCHES minibatches at a time are converted to intp in
+    one reused buffer, which both gathers of each minibatch take.
+    Minibatches are gathered from the features
     themselves (first copied once into a C-contiguous float matrix when
     they are not one) into one reused buffer and normalized there, their
     labels converted to float as they are gathered, and the epoch loss
-    normalizes a block at a time: no normalized copy of the features
-    exists, and every normalized value equals ``apply_normalizer``'s over
-    all rows.
+    (:func:`loss_value`) normalizes a leaf of rows at a time and holds no
+    (m,) vector: no normalized copy of the features exists, and every
+    normalized value equals ``apply_normalizer``'s over all rows.
 
     Returns:
         (params, per-epoch training loss trace).
@@ -394,20 +439,27 @@ def train(features: np.ndarray, labels: np.ndarray,
     rows = min(cfg.batch_size, n_rows)
     x_batch, y_batch = np.empty((rows, LAYER_SIZES[0])), np.empty(rows)
     y_taken = np.empty(rows, labels.dtype)
+    # np.take converts int32 indices to intp on every call, so the indices
+    # of INDEX_RUN_BATCHES minibatches are converted at once, into here.
+    run_rows = min(INDEX_RUN_BATCHES * cfg.batch_size, n_rows)
+    run_buf = np.empty(run_rows, np.intp)
     work = Workspace(rows)
     for _ in range(cfg.epochs):
-        order = rng.permutation(n_rows)
-        for start in range(0, n_rows, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            k = len(batch)
-            x_k = x_batch[:k]
-            np.take(features, batch, axis=0, out=x_k, mode="clip")
-            apply_normalizer(x_k, normalizer, out=x_k)
-            np.take(labels, batch, out=y_taken[:k], mode="clip")
-            y_batch[:k] = y_taken[:k]
-            grad = gradients(params, x_k, y_batch[:k], cfg.lam, work=work)
-            adam_step(state, params, grad, out=params)
-        del order, batch    # the loss's (m,) vector needs the room
+        order = row_permutation(rng, n_rows)
+        for first in range(0, n_rows, run_rows):
+            run = run_buf[:min(run_rows, n_rows - first)]
+            run[...] = order[first:first + run_rows]
+            for start in range(0, len(run), cfg.batch_size):
+                batch = run[start:start + cfg.batch_size]
+                k = len(batch)
+                x_k = x_batch[:k]
+                np.take(features, batch, axis=0, out=x_k, mode="clip")
+                apply_normalizer(x_k, normalizer, out=x_k)
+                np.take(labels, batch, out=y_taken[:k], mode="clip")
+                y_batch[:k] = y_taken[:k]
+                grad = gradients(params, x_k, y_batch[:k], cfg.lam, work=work)
+                adam_step(state, params, grad, out=params)
+        del order   # before the next epoch's permutation is made
         epoch_loss = loss_value(params, features, labels, cfg.lam, normalizer)
         if not np.isfinite(epoch_loss):
             raise FloatingPointError(
@@ -419,16 +471,22 @@ def train(features: np.ndarray, labels: np.ndarray,
 def predict_proba(params: MlpParams, features_raw: np.ndarray) -> np.ndarray:
     """Impulse probabilities for raw features of shape (..., 3).
 
-    Rows are normalized and classified DETECTOR_BLOCK_ROWS at a time; the
-    result equals :func:`forward` over all normalized rows at once.
+    Rows are normalized and classified DETECTOR_BLOCK_ROWS at a time (see
+    :func:`_forward_rows`) into one preallocated output: no
+    activation-sized temporary is allocated per block, and the result
+    equals :func:`forward` over all normalized rows at once.
     """
     features_raw = np.asarray(features_raw, dtype=float)
     if features_raw.ndim == 0 or features_raw.shape[-1] != LAYER_SIZES[0]:
         raise ValueError(f"expected (..., {LAYER_SIZES[0]}) features")
-    lead = features_raw.shape[:-1]
     x = features_raw.reshape(-1, LAYER_SIZES[0])
-    return _blocked_forward(params, x, DETECTOR_BLOCK_ROWS,
-                            params.normalizer).reshape(lead)
+    out = np.empty(len(x))
+    buffers = _forward_buffers(min(DETECTOR_BLOCK_ROWS, len(x)))
+    for start in range(0, len(x), DETECTOR_BLOCK_ROWS):
+        stop = start + DETECTOR_BLOCK_ROWS
+        _forward_rows(params, x[start:stop], params.normalizer, buffers,
+                      out[start:stop])
+    return out.reshape(features_raw.shape[:-1])
 
 
 def classify(params: MlpParams, features_raw: np.ndarray) -> np.ndarray:

@@ -54,6 +54,7 @@ from .coding import (CODE_RATE, N_TAIL, conv_encode, deinterleave,
                      interleave, viterbi_decode_soft)
 from .config import ExperimentConfig
 from .dnn import MlpParams
+from .features import row_permutation
 from .mitigation import (DetectorSettings, detect, detector_features,
                          estimate_clean_power, mitigate)
 from .noise_models import BGNoise, MCANoise, NoiseSpec, SASNoise, sample_noise
@@ -250,8 +251,9 @@ def generate_dataset(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
     their shuffled positions, through the inverse permutation, in the two
     arrays it returns.  Those live in shared mappings (see
     :func:`inofdm.workers.shared_array`); the parent's heap holds only the
-    inverse permutation, 8 bytes a row, and while it is made the
-    permutation and one index vector as well.
+    inverse permutation, 4 bytes a row (int32, see
+    :func:`~inofdm.features.row_permutation`), and while it is made the
+    permutation and one index vector of that dtype as well: 12.
 
     Returns:
         (features, labels) with ``cfg.train_symbols * n_fft`` rows: a
@@ -266,12 +268,12 @@ def generate_dataset(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
     starts = [0]
     for ci in range(len(combos)):
         starts.append(starts[-1] + (base + (ci < extra)) * cfg.ofdm.n_fft)
-    order = np.random.default_rng(np.random.SeedSequence(
-        (cfg.seed, _TAG_SHUFFLE))).permutation(starts[-1])
+    order = row_permutation(np.random.default_rng(np.random.SeedSequence(
+        (cfg.seed, _TAG_SHUFFLE))), starts[-1])
     # Returned row i is simulated row order[i], so simulated row j goes to
     # row where[j].
     where = np.empty_like(order)
-    where[order] = np.arange(len(order))
+    where[order] = np.arange(len(order), dtype=order.dtype)
     del order
     features = workers.shared_array((starts[-1], 3), float)
     labels = workers.shared_array((starts[-1],), np.uint8)

@@ -8,8 +8,19 @@ is made reaches them without a copy: the pool's job function and its
 :func:`shared_array`, which the workers write and the parent reads.  Only
 job arguments and replies cross the pipes.
 
-Before the first fork the parent imports ``numpy.random``, ``numpy.fft``
-and ``numpy.ma`` (which np.median's NaN check loads).  numpy loads them on
+Right before the first fork the parent returns the free memory of its
+heap to the system with glibc's ``malloc_trim(0)``.  A forked worker's
+resident set starts with every anonymous page of its parent, free heap
+pages included, and glibc keeps much of that heap after a large free: a
+freed 8 MB array raises its trim threshold.  After a 2-epoch ``train`` of
+1,024,000 rows, a process held 9.6 MB free at the top of its heap, and
+every pool it forked next started each worker with them; trimmed, its
+anonymous resident set fell from 29.2 to 20.0 MB.  The call took 0.4-1.1
+ms releasing 20 MB on a 2-vCPU Xeon; it is skipped where libc has no such
+function.
+
+Before the first fork the parent also imports ``numpy.random``,
+``numpy.fft`` and ``numpy.ma`` (which np.median's NaN check loads).  numpy loads them on
 first use, and the parent of a pool may never run a job itself, so
 without this every worker of every pool would import them again (12-19 ms
 of import time for the first two, 12-17 ms for numpy.ma, on a 2-vCPU
@@ -52,6 +63,23 @@ def _init_worker() -> None:
                     getattr(library, name)(ctypes.c_int(1))
     except OSError:
         pass    # no /proc, or a library that cannot be opened: threads stay
+
+
+def _trim_heap() -> None:
+    """Return the free pages of the process's heap to the system (glibc's
+    ``malloc_trim(0)``), so that processes forked next do not start with
+    them; nothing where libc has no such function."""
+    import ctypes
+    try:
+        libc = ctypes.CDLL(None)
+    except OSError:
+        return
+    trim = getattr(libc, "malloc_trim", None)
+    if trim is None:
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
 
 
 def _serve(conn, inherited: list, job: Callable, state: tuple) -> None:
@@ -101,6 +129,10 @@ class Pool:
     exit code.  :meth:`close` ends every worker: one still running a job
     is terminated, since no one will read its reply, and the others leave
     when their pipes close.
+
+    The heap is trimmed right before the workers are forked (see the
+    module's docstring), since each starts with every page the parent
+    holds then, free or not.
     """
 
     def __init__(self, workers: int, job: Callable, state: tuple = ()) -> None:
@@ -110,6 +142,7 @@ class Pool:
         import numpy.random  # noqa: F401
         from multiprocessing import get_context
         context = get_context("fork")
+        _trim_heap()
         self.processes = []
         self._conns = []
         self._sent = []         # jobs sent to each worker

@@ -108,7 +108,7 @@ def test_train_writes_model_and_loss_trace(trained_model, tmp_path):
     params = load_model(trained_model)
     assert params.train_seed == 0
     loss_csv = (str(trained_model) + ".loss.csv")
-    lines = open(loss_csv).read().splitlines()
+    lines = Path(loss_csv).read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
     assert lines[2] == "epoch,loss"
     assert len(lines) == 3 + 3  # three epochs
@@ -191,6 +191,59 @@ def test_missing_output_directory_exits_2_before_any_work(
     assert missing in capsys.readouterr().err
     assert not (tmp_path / "nodir").exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "small.cfg"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--out", "model.txt", "--loss-out", "model.txt"],
+     "'model.txt' is the same file as the output 'model.txt'"),
+    (["--out", "./model.txt", "--loss-out", "sub/../model.txt"],
+     "'sub/../model.txt' is the same file as the output './model.txt'"),
+    (["--out", "data.csv"], "'data.csv' is the same file as the input"),
+    (["--out", "link.csv"], "'link.csv' is the same file as the input"),
+    (["--out", "model.txt", "--loss-out", "data.csv"],
+     "'data.csv' is the same file as the input"),
+    (["--out", "model.txt", "--loss-out", "sub"], "'sub' is a directory"),
+    (["--out", "sub"], "'sub' is a directory"),
+], ids=["loss-is-model", "loss-is-model-by-another-path", "model-is-data",
+        "model-is-a-link-to-data", "loss-is-data", "loss-is-a-directory",
+        "model-is-a-directory"])
+def test_train_outputs_that_clash_exit_2_before_any_work(
+        cfg_file, tmp_path, monkeypatch, capsys, args, message):
+    # The loss trace overwrote the model, the model the dataset (both
+    # exit 0), and a directory failed only after every epoch.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    dataset = "x1,x2,x3,label\n" + "".join(
+        f"0.{i},1.{i},2.{i},{i % 2}\n" for i in range(64))
+    (tmp_path / "data.csv").write_text(dataset)
+    (tmp_path / "link.csv").symlink_to("data.csv")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output check")
+    for module, name in ((dnn, "train"), (cli, "read_dataset")):
+        monkeypatch.setattr(module, name, no_work)
+    rc = run_cli("train", "--config", cfg_file, "--data", "data.csv", *args)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert (tmp_path / "data.csv").read_text() == dataset
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data.csv", "link.csv", "small.cfg", "sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
+def test_gen_dataset_into_a_directory_exits_2_before_any_work(
+        cfg_file, tmp_path, monkeypatch, capsys):
+    # It simulated the whole dataset, then failed to open the directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output check")
+    monkeypatch.setattr(link, "generate_dataset", no_work)
+    rc = run_cli("gen-dataset", "--config", cfg_file, "--out", "sub")
+    assert rc == 2
+    assert "'sub' is a directory" in capsys.readouterr().err
+    assert list((tmp_path / "sub").iterdir()) == []
 
 
 @pytest.mark.parametrize("out", ["data.csv", "data.csv/curves"])

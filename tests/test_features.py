@@ -23,6 +23,7 @@ from inofdm.features import (
     extract_features,
     fit_normalizer,
     read_dataset,
+    row_permutation,
     write_dataset,
 )
 
@@ -352,6 +353,16 @@ def test_fit_normalizer_allocates_under_2_bytes_per_row(traced_bytes_per_row):
     # bytes a row.
     feats = np.random.default_rng(9).standard_normal((200_000, 3))
     assert traced_bytes_per_row(lambda: fit_normalizer(feats), 200_000) <= 2
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 1000, 1_024_000])
+def test_row_permutation_is_rng_permutation_in_int32(rows):
+    # Same order, and the generators continue with the same draws.
+    ours, numpys = np.random.default_rng(rows), np.random.default_rng(rows)
+    order = row_permutation(ours, rows)
+    assert order.dtype == np.int32
+    np.testing.assert_array_equal(order, numpys.permutation(rows))
+    assert ours.random() == numpys.random()
 
 
 def test_normalizer_validation():

@@ -7,6 +7,7 @@ scaled-down grid (N=128 with a 3-tap channel); physics checks that depend on
 the published dimensioning use the default configuration.
 """
 
+import ctypes
 import dataclasses
 import itertools
 import json
@@ -374,15 +375,16 @@ def test_dataset_rows_land_where_the_shuffle_put_them(monkeypatch, cpus):
     assert labels.tobytes() == want_l.tobytes()
 
 
-def test_dataset_generation_allocates_under_26_bytes_per_row(
+def test_dataset_generation_allocates_under_16_bytes_per_row(
         monkeypatch, traced_bytes_per_row):
-    # On one CPU, where every grid point runs in this process: the inverse
-    # permutation, made from the permutation and one index vector (24
-    # bytes a row).  Shuffling after simulation copied the rows: 33.
+    # On one CPU, where every grid point runs in this process: the int32
+    # inverse permutation, made from the permutation and one index vector
+    # (12 bytes a row).  In intp they took 24, and shuffling after
+    # simulation copied the rows: 33.
     monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
     cfg = small_config(**{"train.symbols": 1600})
     assert traced_bytes_per_row(lambda: link.generate_dataset(cfg),
-                                1600 * 128) <= 26
+                                1600 * 128) <= 16
 
 
 def test_dataset_requires_enough_symbols_for_the_grid():
@@ -815,6 +817,47 @@ def test_pool_workers_start_with_numpy_lazy_modules_loaded():
         text=True, check=True).stdout)
     assert before == []
     assert in_worker == ["numpy.fft", "numpy.ma", "numpy.random"]
+
+
+_TRIMMED_FORK = """
+import json
+import numpy as np
+import numpy.fft, numpy.ma, numpy.random    # as the pool does before it forks
+from inofdm import workers
+
+def anonymous_rss(*args):
+    # The resident pages a fork copies into the child's resident set.
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh
+                    if line.startswith("RssAnon:"))
+
+# Freeing an 8 MB array (its own mapping) raises glibc's mmap and trim
+# thresholds, so ten 1 MB arrays then come from the heap, and freeing them
+# leaves 10 MB of free, resident heap.
+np.ones(1 << 20)
+arrays = [np.ones(1 << 17) for _ in range(10)]
+del arrays
+print(json.dumps([anonymous_rss(),
+                  list(workers.ordered_map(anonymous_rss, [(0,), (1,)]))]))
+"""
+
+
+def test_pool_workers_fork_from_a_trimmed_heap():
+    # A worker starts with every anonymous resident page of its parent,
+    # free heap included: after a train in the same process, gen-dataset's
+    # workers started with the 9.6 MB the train had freed.  (A child's
+    # ru_maxrss is no measure of this: it counts the file pages the child
+    # touches, not those the parent holds.)
+    if workers._usable_cpus() < 2:
+        pytest.skip("one CPU: ordered_map forks no worker")
+    if not (Path("/proc/self/status").exists()
+            and hasattr(ctypes.CDLL(None), "malloc_trim")):
+        pytest.skip("no glibc malloc_trim or /proc here")
+    env = dict(os.environ, PYTHONPATH=str(Path(link.__file__).parents[1]))
+    parent, in_workers = json.loads(subprocess.run(
+        [sys.executable, "-c", _TRIMMED_FORK], env=env, capture_output=True,
+        text=True, check=True).stdout)
+    assert max(in_workers) <= parent - 5 * 2**20
 
 
 def test_sweep_applies_configured_p_fa():

@@ -278,20 +278,30 @@ def test_loss_rejects_empty_batch():
 
 
 def whole_array_loss(params, x, y, lam):
-    """The loss from one forward pass over every row at once."""
-    yhat = np.clip(forward(params, x), EPS_CLAMP, 1.0 - EPS_CLAMP)
+    """The loss from the whole vector of terms, reduced by np.mean: from one
+    forward pass over every row at once up to 2**16 rows, beyond that from
+    forward passes over 2**16 rows at a time (each row's probability does
+    not depend on the others; one pass would hold 240 bytes a row)."""
+    yhat = np.concatenate([forward(params, x[start:start + 2**16])
+                           for start in range(0, len(x), 2**16)])
+    np.clip(yhat, EPS_CLAMP, 1.0 - EPS_CLAMP, out=yhat)
     bce = -np.mean(y * np.log(yhat) + (1.0 - y) * np.log(1.0 - yhat))
     penalty = sum(float(np.sum(getattr(params, k) ** 2)) for k in ("w1", "w2", "w3"))
     return float(bce + lam / (2.0 * len(y)) * penalty)
 
 
-# Four forward blocks; m = rows - 1, rows, rows + 1 and 3 * rows + 7 leave a
-# last block of DETECTOR_BLOCK_ROWS - 1, DETECTOR_BLOCK_ROWS, 1 and 7 rows.
+# The loss sums its terms along numpy's pairwise tree, whose leaves hold
+# at most DETECTOR_BLOCK_ROWS rows: m up to DETECTOR_BLOCK_ROWS is one leaf;
+# 4,097, 8,200 and 12,295 split once or twice, at a multiple of 8 below and
+# at half; four times DETECTOR_BLOCK_ROWS, give or take a row, splits into
+# leaves of 2,048 rows and one more; 2**20 + 3 gives a tree 9 levels deep.
 LOSS_ROWS = 4 * DETECTOR_BLOCK_ROWS
 
 
-@pytest.mark.parametrize("m", [LOSS_ROWS - 1, LOSS_ROWS, LOSS_ROWS + 1,
-                               3 * LOSS_ROWS + 7])
+@pytest.mark.parametrize("m", [
+    1, 7, 8, DETECTOR_BLOCK_ROWS - 1, DETECTOR_BLOCK_ROWS,
+    DETECTOR_BLOCK_ROWS + 1, 8200, 12295, LOSS_ROWS - 1, LOSS_ROWS,
+    LOSS_ROWS + 1, 3 * LOSS_ROWS + 7, 2**20 + 3])
 @pytest.mark.parametrize("model", ["random", "shipped"])
 def test_blocked_loss_equals_whole_array_loss_exactly(m, model):
     params = random_params(m, scale=3.0) if model == "random" else load_model(MODEL_PATH)
@@ -314,14 +324,14 @@ def memory_dataset():
             (rng.random(MEMORY_ROWS) < 0.1).astype(np.uint8))
 
 
-def test_loss_allocates_one_float_per_row(traced_bytes_per_row):
-    # The (m,) forward output holds the terms: 8 bytes a row, plus the
-    # block buffers.  Converting the labels and a temporary per operation
-    # of the whole-vector expression took 48.
+def test_loss_allocates_under_6_bytes_per_row(traced_bytes_per_row):
+    # Buffers of the largest leaf (3,128 of the 200,000 rows here) only:
+    # 296 bytes a leaf row, 4.8 a row.  An (m,) vector of the terms took
+    # 14, and a temporary per operation of the whole-vector expression 48.
     x, y = memory_dataset()
     params = random_params(42)
     assert traced_bytes_per_row(
-        lambda: loss_value(params, x, y, 0.1), MEMORY_ROWS) <= 20
+        lambda: loss_value(params, x, y, 0.1), MEMORY_ROWS) <= 6
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +529,23 @@ class TestTraining:
         whether ``train`` gets float labels or uint8 ones, as
         ``read_dataset`` returns them."""
         feats, labels = cluster_dataset(38, n_per_class=2048)  # 4,096 rows
-        cfg = TrainConfig(epochs=2, seed=7)
+        self.assert_trains_as_per_layer_adam(
+            tmp_path, feats, labels, TrainConfig(epochs=2, seed=7))
+
+    def test_minibatches_follow_rng_permutation_across_index_runs(self,
+                                                                  tmp_path):
+        # 1,100 rows in minibatches of 16: with dnn.INDEX_RUN_BATCHES = 32,
+        # index runs of 512, 512 and 76 rows, the last ending in a
+        # minibatch of 12.
+        feats, labels = cluster_dataset(39, n_per_class=550)
+        self.assert_trains_as_per_layer_adam(
+            tmp_path, feats, labels, TrainConfig(epochs=2, batch_size=16, seed=3))
+
+    @staticmethod
+    def assert_trains_as_per_layer_adam(tmp_path, feats, labels, cfg):
+        """:func:`train` on float and uint8 labels against a reference loop
+        that draws each epoch's order with ``rng.permutation`` and updates
+        each layer's view with the per-layer Adam body."""
         trained = {dtype: train(feats, labels.astype(dtype), cfg)
                    for dtype in ("float64", "uint8")}
 
@@ -555,17 +581,17 @@ class TestTraining:
                     == (tmp_path / "per_layer.txt").read_text()), dtype
             assert flat_losses == losses, dtype
 
-    def test_one_epoch_allocates_under_20_bytes_per_row(self,
-                                                         traced_bytes_per_row):
-        # At the peak: the loss terms (8 bytes a row) or the epoch
-        # permutation (8), never both, plus the forward blocks' buffers
-        # (about 6 at this size): 15.  A normalized copy of the features
-        # (24) and numpy's std temporary (24) took 47; holding the
-        # permutation through the loss would take 23.
+    def test_one_epoch_allocates_under_8_bytes_per_row(self,
+                                                        traced_bytes_per_row):
+        # At the peak: the int32 epoch permutation (4 bytes a row) and
+        # the loss's leaf buffers (about 5 at this size; 6 with the
+        # permutation).  An intp permutation or an (m,) vector of loss
+        # terms took 15, a normalized copy of the features (24) and
+        # numpy's std temporary (24) 47.
         feats, labels = memory_dataset()
         assert traced_bytes_per_row(
             lambda: train(feats, labels, TrainConfig(epochs=1, seed=1)),
-            MEMORY_ROWS) <= 20
+            MEMORY_ROWS) <= 8
 
     def test_strided_features_train_as_their_contiguous_copy(self):
         feats, labels = cluster_dataset(30, n_per_class=300)
