@@ -407,10 +407,10 @@ def train(features: np.ndarray, labels: np.ndarray,
     ``rng.permutation``), freed before the next one is drawn.  The indices
     of INDEX_RUN_BATCHES minibatches at a time are converted to intp in
     one reused buffer, which both gathers of each minibatch take.
-    Minibatches are gathered from the features
-    themselves (first copied once into a C-contiguous float matrix when
-    they are not one) into one reused buffer and normalized there, their
-    labels converted to float as they are gathered, and the epoch loss
+    Minibatches are gathered from the features themselves (first copied
+    once into a C-contiguous float matrix when they are not one) into one
+    reused buffer and normalized there, their labels converted to float
+    as they are gathered, and the epoch loss
     (:func:`loss_value`) normalizes a leaf of rows at a time and holds no
     (m,) vector: no normalized copy of the features exists, and every
     normalized value equals ``apply_normalizer``'s over all rows.

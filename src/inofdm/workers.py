@@ -20,11 +20,11 @@ ms releasing 20 MB on a 2-vCPU Xeon; it is skipped where libc has no such
 function.
 
 Before the first fork the parent also imports ``numpy.random``,
-``numpy.fft`` and ``numpy.ma`` (which np.median's NaN check loads).  numpy loads them on
-first use, and the parent of a pool may never run a job itself, so
-without this every worker of every pool would import them again (12-19 ms
-of import time for the first two, 12-17 ms for numpy.ma, on a 2-vCPU
-Xeon).  Set-up code that forks no pool loads none of them.
+``numpy.fft`` and ``numpy.ma`` (which np.median's NaN check loads).
+numpy loads them on first use, and the parent of a pool may never run a
+job itself, so without this every worker of every pool would import them
+again (12-19 ms of import time for the first two, 12-17 ms for numpy.ma,
+on a 2-vCPU Xeon).  Set-up code that forks no pool loads none of them.
 
 With one usable CPU, or one job, nothing is forked and every job runs in
 the calling process, on the same ``state``.
