@@ -2,18 +2,16 @@
 """BER comparison across impulse probabilities under mixture-Gaussian noise.
 
 Runs configs/bg_sir0.cfg (the learned detector against no mitigation,
-threshold blanking and clipping at SIR = 0 dB) for epsilon in
-{0.01, 0.05, 0.1}, one curve directory per epsilon.  Only the impulse
-probability, the grid and the seed are set here; the rest is the config's.
+threshold blanking and clipping at SIR = 0 dB) as one ``inofdm ber-sweep``
+per epsilon in {0.01, 0.05, 0.1} into ``<out>/eps<epsilon>/``, setting only
+the impulse probability, the grid and the seed.
 """
 
 import argparse
 import pathlib
 import sys
-import time
 
-from inofdm import config as cfgmod
-from inofdm import dnn, link
+from inofdm.cli import main as cli
 
 CONFIG = (pathlib.Path(__file__).resolve().parent.parent / "configs"
           / "bg_sir0.cfg")
@@ -29,24 +27,13 @@ def run(argv=None):
     ap.add_argument("--grid", default="8,10,12,14")
     args = ap.parse_args(argv)
 
-    params = dnn.load_model(args.model)
     for eps in args.epsilon:
-        cfg = cfgmod.load_config(CONFIG, {
-            "noise.epsilon": repr(eps),
-            "grid.ebn0_db": args.grid,
-            "seed": str(args.seed),
-        })
-        t0 = time.time()
-        curves = link.ber_sweep(cfg, params)
-        out_dir = pathlib.Path(args.out) / f"eps{eps:g}"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, curve in curves.items():
-            link.write_curve_csv(out_dir / f"curve_{name}.csv", curve)
-        print(f"epsilon={eps:g}  ({time.time() - t0:.0f} s)")
-        for ebn0 in cfg.ebn0_db:
-            row = "  ".join(f"{name}={curves[name].ber_at(ebn0):.3e}"
-                            for name in curves)
-            print(f"  {ebn0:5.1f} dB  {row}")
+        rc = cli(["ber-sweep", "--config", str(CONFIG), "--seed", str(args.seed),
+                  "--model", args.model, "--set", f"noise.epsilon={eps!r}",
+                  "--set", f"grid.ebn0_db={args.grid}",
+                  "--out", str(pathlib.Path(args.out) / f"eps{eps:g}")])
+        if rc:
+            return rc
     return 0
 
 

@@ -150,7 +150,7 @@ def _cmd_ber_sweep(args: argparse.Namespace) -> int:
     _check_out_tree(args.out)
     params = None
     model_path = args.model or (cfg.model_path or None)
-    if any(name.startswith("dnn") for name in cfg.policies):
+    if "dnn" in cfg.policies:
         if model_path is None:
             raise ValueError("a model file is required for network policies "
                              "(--model or config key model.path)")

@@ -26,9 +26,9 @@ noise.alpha f (in (0, 2]), noise.beta f (in [-1, 1]),
 noise.scale f (> 0), noise.loc f                                 (sas)
     Every noise key is checked whichever noise.model is chosen.
 grid.ebn0_db f* (dB)
-sweep.policies s (comma list of none|bln|clp|dnn|dnn-clp)
+sweep.policies s (comma list of none|bln|clp|dnn)
 sweep.p_fa f (in (0, 1): the false-alarm rate of the per-block
-    Neyman-Pearson level that sets the blanking level and every clip ceiling)
+    Neyman-Pearson level that sets the blanking level and the clip ceiling)
 sweep.min_errors i (>= 1), sweep.max_bits i (>= 1), sweep.perfect_csi b
 interleaver.tx_enabled b, interleaver.tx_rows i, interleaver.tx_cols i
 interleaver.time_enabled b, interleaver.time_rows i, interleaver.time_cols i
@@ -129,9 +129,11 @@ def parse_config_text(text: str, source: str = "<config>") -> Dict[str, str]:
     """Parse ``key = value`` lines; returns raw strings keyed by schema name.
 
     Raises:
-        ValueError: On malformed lines or unknown keys, naming the offender.
+        ValueError: On malformed lines and unknown or repeated keys, naming
+            the offender (both lines of a repeated key).
     """
     values: Dict[str, str] = {}
+    first_line: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -142,6 +144,10 @@ def parse_config_text(text: str, source: str = "<config>") -> Dict[str, str]:
         key = key.strip()
         if key not in SCHEMA:
             raise ValueError(f"{source}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"{source}:{lineno}: config key {key!r} is "
+                             f"already set on line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = value.strip()
     return values
 
@@ -355,7 +361,8 @@ def load_config(path: Optional[str] = None,
 
 
 def override_list_to_dict(pairs: Iterable[str]) -> Dict[str, str]:
-    """Turn CLI ``key=value`` strings into an override mapping."""
+    """Turn CLI ``key=value`` strings into an override mapping (a repeated
+    key keeps its last value)."""
     out: Dict[str, str] = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")

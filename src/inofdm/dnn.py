@@ -11,10 +11,11 @@ model file's block order w1, b1, w2, b2, w3, b3, each row-major; the
 gradient and Adam's moments share that layout, and :func:`blocks` views
 any such vector layer by layer.
 
-Inputs to :func:`forward` are *normalized* features; the fitted
-:class:`~inofdm.features.FeatureNormalizer` travels inside
-:class:`MlpParams` so inference applies exactly the training-time scaling
-(:func:`classify` handles raw features).
+The fitted :class:`~inofdm.features.FeatureNormalizer` travels inside
+:class:`MlpParams`, so the training-time scaling is applied everywhere:
+:func:`loss_value`, :func:`train`, :func:`predict_proba` and :func:`classify`
+take raw features and standardize them with it, while :func:`forward` and
+:func:`gradients` take *normalized* rows.
 """
 
 from __future__ import annotations
@@ -150,27 +151,23 @@ def _forward_buffers(rows: int) -> tuple:
             *(np.empty((rows, width)) for width in LAYER_SIZES[1:]))
 
 
-def _forward_rows(params: MlpParams, block: np.ndarray,
-                  normalizer: Optional[FeatureNormalizer], buffers: tuple,
+def _forward_rows(params: MlpParams, block: np.ndarray, buffers: tuple,
                   out: np.ndarray) -> None:
-    """Probabilities of the rows of ``block`` into ``out``, through
-    ``buffers`` (from :func:`_forward_buffers`).
+    """Probabilities of the raw feature rows of ``block`` into ``out``,
+    through ``buffers`` (from :func:`_forward_buffers`).
 
     The layers of :func:`forward` run in the same order, into the buffers
-    instead of new arrays.  The rows are copied (with ``normalizer``,
-    standardized: ``block`` then holds raw features) into the column-major
-    input buffer, because OpenBLAS multiplies a tall 3-column matrix held
-    that way about three times faster than a row-major one; the product is
-    the same matrix product, and the tests compare the output byte for byte
-    with one :func:`forward` over all rows.  A row's probability does not
-    depend on the other rows of its block.
+    instead of new arrays.  The rows are standardized with
+    ``params.normalizer`` as they are copied into the column-major input
+    buffer, because OpenBLAS multiplies a tall 3-column matrix held that
+    way about three times faster than a row-major one; the product is the
+    same matrix product, and the tests compare the output byte for byte
+    with one :func:`forward` over all normalized rows.  A row's probability
+    does not depend on the other rows of its block.
     """
     k = len(block)
     x_block, z1, z2, z3 = (buf[:k] for buf in buffers)
-    if normalizer is None:
-        x_block[...] = block
-    else:
-        apply_normalizer(block, normalizer, out=x_block)
+    apply_normalizer(block, params.normalizer, out=x_block)
     a1 = np.matmul(x_block, params.w1.T, out=z1)
     a1 += params.b1
     np.maximum(a1, 0.0, out=a1)  # relu
@@ -200,8 +197,7 @@ def _largest_leaf(rows: int) -> int:
 
 def _pairwise_loss_sum(state: tuple, start: int, stop: int) -> float:
     """Sum of the cross-entropy terms of rows ``start`` to ``stop`` of
-    ``state`` (params, x, y, normalizer, buffers), in numpy's pairwise
-    summation order.
+    ``state`` (params, x, y, buffers), in numpy's pairwise summation order.
 
     Above DETECTOR_BLOCK_ROWS rows a node splits as numpy's pairwise sum
     of a contiguous float64 vector does (:func:`_pairwise_split`) and adds
@@ -214,9 +210,9 @@ def _pairwise_loss_sum(state: tuple, start: int, stop: int) -> float:
         middle = start + _pairwise_split(rows)
         return (_pairwise_loss_sum(state, start, middle)
                 + _pairwise_loss_sum(state, middle, stop))
-    params, x, y, normalizer, (y_buf, log_buf, p_buf, *forward_bufs) = state
+    params, x, y, (y_buf, log_buf, p_buf, *forward_bufs) = state
     y_k, log_p, p = y_buf[:rows], log_buf[:rows], p_buf[:rows]
-    _forward_rows(params, x[start:stop], normalizer, forward_bufs, p)
+    _forward_rows(params, x[start:stop], forward_bufs, p)
     y_k[...] = y[start:stop]
     # y log(p) + (1 - y) log(1 - p), p clamped, each operation as in the
     # whole-vector expression.
@@ -231,14 +227,14 @@ def _pairwise_loss_sum(state: tuple, start: int, stop: int) -> float:
     return float(np.add.reduce(p))
 
 
-def loss_value(params: MlpParams, x: np.ndarray, y: np.ndarray, lam: float,
-               normalizer: Optional[FeatureNormalizer] = None) -> float:
+def loss_value(params: MlpParams, x: np.ndarray, y: np.ndarray,
+               lam: float) -> float:
     """Mean clamped cross-entropy plus (lam/2m) sum of squared weights.
 
-    x holds normalized inputs, or raw features when ``normalizer`` is
-    given; rows are then standardized as they are copied in, with the
-    operations of :func:`~inofdm.features.apply_normalizer`, so the loss
-    is the same float as from the normalized rows.  The cross-entropy
+    x holds raw features; rows are standardized with ``params.normalizer``
+    as they are copied in, with the operations of
+    :func:`~inofdm.features.apply_normalizer`, so the loss is the same
+    float as from the normalized rows.  The cross-entropy
     terms are summed along numpy's pairwise summation tree (Higham, "The
     accuracy of floating point summation", SIAM J. Sci. Comput. 14(4),
     1993), a leaf of at most DETECTOR_BLOCK_ROWS rows at a time (see
@@ -255,7 +251,7 @@ def loss_value(params: MlpParams, x: np.ndarray, y: np.ndarray, lam: float,
         raise ValueError("x must be (m, 3) with matching labels")
     leaf = _largest_leaf(m)
     buffers = (*np.empty((3, leaf)), *_forward_buffers(leaf))
-    total = _pairwise_loss_sum((params, x, y, normalizer, buffers), 0, m)
+    total = _pairwise_loss_sum((params, x, y, buffers), 0, m)
     bce = -(total / m)
     penalty = sum(float(np.sum(w ** 2)) for w in (params.w1, params.w2, params.w3))
     return float(bce + lam / (2.0 * m) * penalty)
@@ -460,7 +456,7 @@ def train(features: np.ndarray, labels: np.ndarray,
                 grad = gradients(params, x_k, y_batch[:k], cfg.lam, work=work)
                 adam_step(state, params, grad, out=params)
         del order   # before the next epoch's permutation is made
-        epoch_loss = loss_value(params, features, labels, cfg.lam, normalizer)
+        epoch_loss = loss_value(params, features, labels, cfg.lam)
         if not np.isfinite(epoch_loss):
             raise FloatingPointError(
                 f"training diverged at epoch {len(losses) + 1}")
@@ -484,8 +480,7 @@ def predict_proba(params: MlpParams, features_raw: np.ndarray) -> np.ndarray:
     buffers = _forward_buffers(min(DETECTOR_BLOCK_ROWS, len(x)))
     for start in range(0, len(x), DETECTOR_BLOCK_ROWS):
         stop = start + DETECTOR_BLOCK_ROWS
-        _forward_rows(params, x[start:stop], params.normalizer, buffers,
-                      out[start:stop])
+        _forward_rows(params, x[start:stop], buffers, out[start:stop])
     return out.reshape(features_raw.shape[:-1])
 
 

@@ -13,8 +13,8 @@ rewrites the flagged samples.
   model-implied average: with per-symbol fading a fixed average-power level
   over-blanks strong symbols and floors the curve near 1e-2, and a
   practical receiver tracks its own front-end level anyway;
-* ``dnn``/``dnn-clp`` - the trained classifier of :mod:`inofdm.dnn` over
-  the window features of :mod:`inofdm.features`, with blanking/clipping.
+* ``dnn`` - the trained classifier of :mod:`inofdm.dnn` over the window
+  features of :mod:`inofdm.features`, with blanking.
 
 One level, :func:`_level` at the configured false-alarm rate, serves the
 threshold detector and the clip ceiling; both suppressors live in
@@ -61,15 +61,15 @@ def estimate_clean_power(samples: np.ndarray) -> np.ndarray:
     return np.maximum(power, np.finfo(float).tiny)
 
 
-#: The mitigation policies, each a detector kind and a suppression.
-POLICY_NAMES = ("none", "bln", "clp", "dnn", "dnn-clp")
-_KIND = {"bln": "threshold", "clp": "threshold", "dnn": "dnn", "dnn-clp": "dnn"}
+#: The mitigation policies: pass-through, threshold blanking, threshold
+#: clipping and network blanking.
+POLICY_NAMES = ("none", "bln", "clp", "dnn")
 
 
 @dataclass(frozen=True, eq=False)
 class DetectorSettings:
     """What every policy is tuned by: the false-alarm rate of the per-block
-    level (threshold detection and every clip ceiling), and the network's
+    level (threshold detection and the clip ceiling), and the network's
     parameters and feature half-width."""
 
     p_fa: float
@@ -130,8 +130,8 @@ def mitigate(samples: np.ndarray, names: Sequence[str],
     """Clean blocks under each named policy; the input is never modified.
 
     One pass serves every name: the per-block power is estimated once and
-    each detector runs once, so ``bln``/``clp`` share the threshold mask and
-    ``dnn``/``dnn-clp`` the features and the network.
+    each detector runs once, so ``bln`` and ``clp`` share the threshold
+    mask, which ``clp`` clamps onto the level.
 
     Returns:
         One cleaned complex array per name, in order.
@@ -140,23 +140,21 @@ def mitigate(samples: np.ndarray, names: Sequence[str],
         if name not in POLICY_NAMES:
             raise ValueError(f"unknown policy {name!r}")
     finite = np.where(np.isfinite(samples), samples, 0)
-    kinds = sorted({_KIND[name] for name in names if name != "none"})
-    if kinds:
+    if set(names) - {"none"}:
         power = estimate_clean_power(finite)
-        masks = {kind: detect(finite, kind, settings, power).astype(bool)
-                 for kind in kinds}
-    if any(name.endswith("clp") for name in names):
-        level = np.broadcast_to(_level(power, settings.p_fa), finite.shape)
-        mags = np.abs(finite)
-        over = mags > level
+    if "dnn" in names:
+        network = detect(finite, "dnn", settings, power).astype(bool)
+    if "bln" in names or "clp" in names:
+        over = detect(finite, "threshold", settings, power).astype(bool)
     outs = []
     for name in names:
         if name in ("bln", "dnn"):
-            outs.append(np.where(masks[_KIND[name]], 0.0 + 0.0j, finite))
+            mask = over if name == "bln" else network
+            outs.append(np.where(mask, 0.0 + 0.0j, finite))
             continue
         out = finite.astype(complex, copy=True)
-        if name != "none":
-            shrink = masks[_KIND[name]] & over
-            out[shrink] *= level[shrink] / mags[shrink]
+        if name == "clp":
+            level = np.broadcast_to(_level(power, settings.p_fa), finite.shape)
+            out[over] *= level[over] / np.abs(finite)[over]
         outs.append(out)
     return outs

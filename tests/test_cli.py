@@ -448,6 +448,26 @@ def test_unknown_config_key_names_key_and_line(tmp_path, capsys):
     assert "noise.epsilonn" in err and ":2" in err
 
 
+@pytest.mark.parametrize("command", ["gen-dataset", "ber-sweep"])
+def test_config_key_set_twice_names_key_and_both_lines(tmp_path, capsys,
+                                                      command):
+    # The second value used to win without a word.
+    bad = tmp_path / "twice.cfg"
+    bad.write_text("noise.epsilon = 0.05\n# impulse rate\nnoise.epsilon = 0.5\n")
+    rc = run_cli(command, "--config", bad, "--out", tmp_path / "o")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'noise.epsilon'" in err and ":3" in err and "line 1" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_override_keeps_its_last_value(cfg_file):
+    args = cli.build_parser().parse_args(
+        ["ber-sweep", "--config", str(cfg_file), "--out", "unused",
+         "--set", "noise.epsilon=0.5", "--set", "noise.epsilon=0.1"])
+    assert cli._load(args).epsilon == 0.1
+
+
 def test_uncastable_value_names_key(cfg_file, tmp_path, capsys):
     rc = run_cli("gen-dataset", "--config", cfg_file,
                  "--set", "noise.epsilon=lots", "--out", tmp_path / "d.csv")
@@ -462,12 +482,21 @@ def test_unknown_policy_named_in_diagnostic(cfg_file, tmp_path, capsys):
     assert "zap" in capsys.readouterr().err
 
 
+def test_deleted_dnn_clp_policy_is_rejected(cfg_file, tmp_path, capsys):
+    rc = run_cli("ber-sweep", "--config", cfg_file,
+                 "--set", "sweep.policies=dnn-clp", "--out", tmp_path / "c")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sweep.policies" in err and "dnn-clp" in err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("p_fa", ["0", "1", "-0.1", "1.5", "nan"])
 def test_out_of_range_p_fa_names_key_at_load(cfg_file, tmp_path, capsys, p_fa):
     # Rejected when the config loads, whichever policies are configured:
-    # none and dnn-clp would otherwise run and ignore it.
+    # none and dnn would otherwise run and ignore it.
     rc = run_cli("ber-sweep", "--config", cfg_file,
-                 "--set", "sweep.policies=none,dnn-clp",
+                 "--set", "sweep.policies=none,dnn",
                  "--set", f"sweep.p_fa={p_fa}", "--out", tmp_path / "c")
     assert rc == 2
     assert "sweep.p_fa" in capsys.readouterr().err

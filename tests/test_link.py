@@ -861,15 +861,15 @@ def test_pool_workers_fork_from_a_trimmed_heap():
 
 
 def test_sweep_applies_configured_p_fa():
-    """bln/clp detect at the configured false-alarm rate, and both clipping
-    policies clip at the per-block level of that rate."""
+    """bln/clp detect at the configured false-alarm rate, and clp clips at
+    the per-block level of that rate."""
     params = dnn.load_model(MODEL_PATH)
     batch_bits = link.BATCH_SYMBOLS * link.bits_per_symbol(small_config())
     counts = {}
     for p_fa in (0.01, 0.2):
         cfg = small_config(**{
             "noise.epsilon": 0.05, "grid.ebn0_db": "10", "sweep.p_fa": p_fa,
-            "sweep.policies": "bln,clp,dnn-clp", "sweep.min_errors": 10 ** 9,
+            "sweep.policies": "bln,clp", "sweep.min_errors": 10 ** 9,
             "sweep.max_bits": batch_bits})
         curves = link.ber_sweep(cfg, params)
         rng = np.random.default_rng(np.random.SeedSequence(
@@ -881,33 +881,32 @@ def test_sweep_applies_configured_p_fa():
                                          cleaned(cfg, batch, name, params))
             counts[p_fa][name] = int(np.sum(decoded != batch.tx_bits))
             assert curves[name].points[0].errors == counts[p_fa][name]
-    for name in ("bln", "clp", "dnn-clp"):
+    for name in ("bln", "clp"):
         assert counts[0.01][name] != counts[0.2][name], name
 
 
 @pytest.mark.parametrize("chain, expected", [
-    ({}, {"none": 3773, "bln": 611, "clp": 1158, "dnn": 362, "dnn-clp": 1180}),
+    ({}, {"none": 3773, "bln": 611, "clp": 1158, "dnn": 362}),
     ({"interleaver.time_enabled": True, "interleaver.time_rows": 8,
       "interleaver.time_cols": 18, "noise.burst_len": 4},
-     {"none": 3020, "bln": 440, "clp": 1296, "dnn": 520, "dnn-clp": 1370}),
+     {"none": 3020, "bln": 440, "clp": 1296, "dnn": 520}),
     ({"noise.model": "mca"},
-     {"none": 3079, "bln": 591, "clp": 954, "dnn": 459, "dnn-clp": 970}),
+     {"none": 3079, "bln": 591, "clp": 954, "dnn": 459}),
     # alpha = 1 takes the stable sampler's drift branch.  At 10 dB this
     # point is near 50% BER for every policy, so it is pinned at 20 dB.
     ({"noise.model": "sas", "noise.alpha": 1, "noise.beta": 0.5,
       "grid.ebn0_db": "20"},
-     {"none": 3903, "bln": 323, "clp": 902, "dnn": 288, "dnn-clp": 925}),
+     {"none": 3903, "bln": 323, "clp": 902, "dnn": 288}),
 ], ids=["plain", "time_interleaved", "class_a", "stable_alpha1"])
 def test_all_policies_error_counts_pinned(chain, expected):
     # Regression pin for every policy the CLI builds, with the shipped
-    # model, at one seeded grid point and a fixed 4-batch budget.  dnn-clp
-    # appears in no other golden output, so this is its only guard; the
-    # Class A and alpha = 1 stable draws appear in none.
+    # model, at one seeded grid point and a fixed 4-batch budget.  The
+    # Class A and alpha = 1 stable draws appear in no other golden output.
     n_batches = 4
     batch_bits = link.BATCH_SYMBOLS * link.bits_per_symbol(small_config())
     cfg = small_config(**{
         "noise.epsilon": 0.05, "noise.sir_db": 0, "grid.ebn0_db": "10",
-        "sweep.policies": "none,bln,clp,dnn,dnn-clp",
+        "sweep.policies": "none,bln,clp,dnn",
         "sweep.min_errors": 10 ** 9, "sweep.max_bits": n_batches * batch_bits,
         "seed": 11, **chain})
     curves = link.ber_sweep(cfg, dnn.load_model(MODEL_PATH))

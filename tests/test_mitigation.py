@@ -223,29 +223,17 @@ def test_blank_mixed_mask_matches_elementwise_formula():
 
 
 def test_clip_clamps_magnitude_and_keeps_phase():
+    # Above the level: onto it, phase kept.  At the level (sample 6) or
+    # below it (every other |r| is 1): unchanged.
     samples = constant_envelope_block(12, 64)
+    level = float(np_level(1.0 / math.log(2.0), 0.01))
     samples[5] = 10.0 * np.exp(1j * 0.7)
+    samples[6] = level
     out = mitigate_one(samples, "clp", DetectorSettings(0.01))
-    assert abs(out[5]) == pytest.approx(np_level(1.0 / math.log(2.0), 0.01),
-                                        rel=1e-12)
+    assert abs(out[5]) == pytest.approx(level, rel=1e-12)
     assert np.angle(out[5]) == pytest.approx(0.7, rel=1e-12)
-
-
-def test_clip_leaves_small_flagged_samples_alone():
-    # Clamp semantics: every sample flagged, all at |r| = 1, under the
-    # ceiling sqrt(ln 100 / ln 2) -> unchanged.
-    settings = DetectorSettings(0.01, magnitude_gate_params(knee=-1.0), 5)
-    samples = constant_envelope_block(13, 64)
-    assert np.all(detect_alone(samples, "dnn", settings) == 1)
-    assert np.array_equal(mitigate_one(samples, "dnn-clp", settings), samples)
-
-
-def test_clip_never_touches_unflagged_samples():
-    # A gate no magnitude reaches flags nothing, however far over the level.
-    settings = DetectorSettings(0.01, magnitude_gate_params(knee=1e6), 5)
-    samples = rayleigh_block(14, 256)
-    samples[::10] *= 100.0
-    assert np.array_equal(mitigate_one(samples, "dnn-clp", settings), samples)
+    rest = np.arange(64) != 5
+    assert np.array_equal(out[rest], samples[rest])
 
 
 def test_clip_broadcasts_a_per_block_level():
@@ -426,17 +414,6 @@ def test_clip_default_level_tracks_per_block_estimate():
         assert np.max(np.abs(out[b])) <= levels[b] * (1 + 1e-12)
 
 
-def test_clip_default_level_with_network_detector():
-    # The ceiling is the Neyman-Pearson level at the configured false-alarm
-    # rate; only flagged samples feel it.
-    settings = DetectorSettings(0.02, magnitude_gate_params(), 5)
-    block = rayleigh_block(30, 4096)
-    block[::100] = 50.0
-    out = mitigate_one(block, "dnn-clp", settings)
-    ceiling = np_level(float(estimate_clean_power(block)), 0.02)
-    np.testing.assert_allclose(np.abs(out[::100]), ceiling, rtol=1e-12)
-
-
 def test_pass_through_policy_copies_input():
     samples = rayleigh_block(31, 64)
     out = mitigate_one(samples, "none", DetectorSettings(0.01))
@@ -452,9 +429,8 @@ def test_mitigate_rejects_unknown_policy():
 
 
 def test_mitigate_requires_model_for_network_policies():
-    for name in ("dnn", "dnn-clp"):
-        with pytest.raises(ValueError, match="model parameters"):
-            mitigate(rayleigh_block(33, 64), ("bln", name), DetectorSettings(0.01))
+    with pytest.raises(ValueError, match="model parameters"):
+        mitigate(rayleigh_block(33, 64), ("bln", "dnn"), DetectorSettings(0.01))
     # The other policies need no model.
     out = mitigate(rayleigh_block(33, 64), ("none", "bln", "clp"),
                    DetectorSettings(0.01))
@@ -465,12 +441,13 @@ def test_mitigate_returns_one_output_per_name_in_order():
     settings = shipped_settings()
     blocks = rayleigh_block(34, 2048).reshape(2, 1024)
     blocks[:, ::41] *= 30.0
-    names = ("dnn-clp", "none", "bln", "dnn", "clp", "bln")
+    names = ("clp", "none", "bln", "dnn", "clp", "bln")
     outs = mitigate(blocks, names, settings)
     assert len(outs) == len(names)
     for name, out in zip(names, outs):
         assert np.array_equal(out, mitigate_one(blocks, name, settings))
     assert np.array_equal(outs[2], outs[5])
+    assert np.array_equal(outs[0], outs[4])
     assert mitigate(blocks, (), settings) == []
 
 
@@ -484,7 +461,7 @@ def test_mitigate_never_increases_any_magnitude(seed, kind):
     assert np.all(np.abs(out) <= np.abs(samples) * (1 + 1e-12))
 
 
-@pytest.mark.parametrize("name", ["none", "bln", "clp", "dnn", "dnn-clp"])
+@pytest.mark.parametrize("name", ["none", "bln", "clp", "dnn"])
 def test_policies_handle_blocks_with_zero_median(name):
     # An all-zero block, and one that is mostly zeros, have a median |r|^2
     # of 0.  Every policy must still return finite samples and leave the
@@ -498,8 +475,7 @@ def test_policies_handle_blocks_with_zero_median(name):
 
 
 @pytest.mark.parametrize("name, calls", [("none", 0), ("bln", 1), ("clp", 1),
-                                         ("dnn", 1), ("dnn-clp", 1),
-                                         ("all", 1)])
+                                         ("dnn", 1), ("all", 1)])
 def test_mitigate_estimates_block_power_once(monkeypatch, name, calls):
     # Every policy shares one per-block median, each detector runs once, and
     # each output equals suppression of a mask built by hand.
@@ -514,14 +490,11 @@ def test_mitigate_estimates_block_power_once(monkeypatch, name, calls):
              "dnn": dnn.classify(settings.params, extract_features(
                  blocks / np.sqrt(power)[:, None], n=settings.half_width)) == 1}
 
-    def clamped(mask):
-        return np.where(mask & (mags > level), blocks * (level / mags), blocks)
-
     expected = {"none": blocks,
                 "bln": np.where(masks["threshold"], 0, blocks),
-                "clp": clamped(masks["threshold"]),
-                "dnn": np.where(masks["dnn"], 0, blocks),
-                "dnn-clp": clamped(masks["dnn"])}
+                "clp": np.where(masks["threshold"], blocks * (level / mags),
+                                blocks),
+                "dnn": np.where(masks["dnn"], 0, blocks)}
     seen = {"power": 0, "threshold": 0, "dnn": 0}
 
     def counting_power(samples):
@@ -537,7 +510,7 @@ def test_mitigate_estimates_block_power_once(monkeypatch, name, calls):
     outs = mitigate(blocks, names, settings)
     assert seen == {"power": calls,
                     "threshold": int(bool({"bln", "clp"} & set(names))),
-                    "dnn": int(bool({"dnn", "dnn-clp"} & set(names)))}
+                    "dnn": int("dnn" in names)}
     for n, out in zip(names, outs):
         assert np.array_equal(out, expected[n]), n
 
@@ -593,7 +566,7 @@ def test_non_finite_samples_come_out_zero(seed, injections):
     for name, out, base in zip(names, outs, mitigate(blocks, names, settings)):
         assert np.all(np.isfinite(out)), name
         assert np.all(out[non_finite] == 0), name
-        if name.endswith("clp"):
+        if name == "clp":
             assert np.all(np.abs(out[saturated]) < 1e3), name
         else:
             assert np.all(out[saturated] == 0), name

@@ -278,10 +278,12 @@ def test_loss_rejects_empty_batch():
 
 
 def whole_array_loss(params, x, y, lam):
-    """The loss from the whole vector of terms, reduced by np.mean: from one
-    forward pass over every row at once up to 2**16 rows, beyond that from
-    forward passes over 2**16 rows at a time (each row's probability does
-    not depend on the others; one pass would hold 240 bytes a row)."""
+    """The loss from the whole vector of terms, reduced by np.mean: the
+    raw rows x normalized at once, then one forward pass over every row at
+    once up to 2**16 rows, beyond that forward passes over 2**16 rows at a
+    time (each row's probability does not depend on the others; one pass
+    would hold 240 bytes a row)."""
+    x = apply_normalizer(x, params.normalizer)
     yhat = np.concatenate([forward(params, x[start:start + 2**16])
                            for start in range(0, len(x), 2**16)])
     np.clip(yhat, EPS_CLAMP, 1.0 - EPS_CLAMP, out=yhat)
@@ -572,7 +574,7 @@ class TestTraining:
                     out[...] = (getattr(params, key)
                                 - cfg.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
                 params = replace(params, theta=theta)
-            losses.append(loss_value(params, x, labels, cfg.lam))
+            losses.append(loss_value(params, feats, labels, cfg.lam))
 
         save_model(tmp_path / "per_layer.txt", params)
         for dtype, (flat, flat_losses) in trained.items():
