@@ -4,8 +4,9 @@ Subcommands::
 
     gen-dataset   simulate the link and write a labeled feature dataset
     train         fit the classifier on a dataset, write model + loss trace
-    evaluate      report detection/false-alarm/miss rates for a detector
-    ber-sweep     run the paired Monte Carlo BER experiment, one CSV per policy
+    ber-sweep     run the paired Monte Carlo BER experiment, one CSV per
+                  policy; its per-point stderr line also gives each
+                  policy's detection and false-alarm rates
     plot-data     merge per-policy curve CSVs into one plot-ready wide CSV
 
 Every subcommand accepts ``--config FILE`` (flat key=value text, see
@@ -115,38 +116,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    extra = {}
-    if args.noise is not None:
-        extra["noise.model"] = args.noise
-    if args.epsilon is not None:
-        extra["noise.epsilon"] = str(args.epsilon)
-    if args.ebn0 is not None:
-        extra["grid.ebn0_db"] = str(args.ebn0)
-    if args.symbols < 1:
-        raise ValueError(f"--symbols must be at least 1, got {args.symbols}")
-    cfg = _load(args, extra)
-    params = None
-    if args.detector == "dnn":
-        if args.model is None:
-            raise ValueError("--model is required for the network detector")
-        params = dnn.load_model(args.model)
-    ebn0 = cfg.ebn0_db[0]
-    report = link.detection_rates(cfg, args.detector, ebn0,
-                                  n_symbols=args.symbols, params=params)
-    print(f"detector={args.detector} ebn0_db={ebn0:g}")
-    print(f"detection_rate={report.detection_rate:.6g}")
-    print(f"false_alarm_rate={report.false_alarm_rate:.6g}")
-    print(f"missed_detection_rate={report.missed_rate:.6g}")
-    print(f"impulse_samples={report.n_impulse} clean_samples={report.n_clean}")
-    return 0
-
-
 def _cmd_ber_sweep(args: argparse.Namespace) -> int:
-    extra = {}
-    if args.perfect_csi:
-        extra["sweep.perfect_csi"] = "true"
-    cfg = _load(args, extra)
+    cfg = _load(args, {"sweep.perfect_csi": "true"} if args.perfect_csi else None)
     _check_out_tree(args.out)
     params = None
     model_path = args.model or (cfg.model_path or None)
@@ -166,15 +137,21 @@ def _cmd_ber_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
-    _check_out_files(args.out)
     curve_paths = sorted(Path(args.curves).glob("curve_*.csv"))
+    _check_out_files(args.out, inputs=curve_paths)
     if not curve_paths:
         raise ValueError(f"no curve_*.csv files under {args.curves}")
     curves = [link.read_curve_csv(p) for p in curve_paths]
     hashes = {c.config_hash for c in curves}
     if len(hashes) > 1:
         raise ValueError(f"curves come from different configs: {sorted(hashes)}")
-    names = sorted(c.detector for c in curves)
+    path_of = {}
+    for path, curve in zip(curve_paths, curves):
+        first = path_of.setdefault(curve.detector, path)
+        if first != path:
+            raise ValueError(f"{str(first)!r} and {str(path)!r} both hold "
+                             f"the curve of {curve.detector!r}")
+    names = sorted(path_of)
     by_name = {c.detector: c for c in curves}
     grid = sorted({p.ebn0_db for c in curves for p in c.points})
     with open(args.out, "w", encoding="ascii") as fh:
@@ -214,21 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-out", default=None,
                    help="loss-trace CSV (default: <out>.loss.csv)")
     p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("evaluate",
-                       help="detection/false-alarm rates on labeled noise")
-    _add_common(p)
-    p.add_argument("--model", default=None, help="model file for --detector dnn")
-    p.add_argument("--detector", choices=("dnn", "threshold"), default="dnn")
-    p.add_argument("--noise", choices=("bg", "mca"), default=None,
-                   help="shortcut for --set noise.model=...")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="shortcut for --set noise.epsilon=...")
-    p.add_argument("--ebn0", type=float, default=None,
-                   help="shortcut for --set grid.ebn0_db=...")
-    p.add_argument("--symbols", type=int, default=200,
-                   help="OFDM symbols to score")
-    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("ber-sweep",
                        help="paired Monte Carlo BER curves, one CSV per policy")

@@ -55,7 +55,7 @@ from .coding import (CODE_RATE, N_TAIL, conv_encode, deinterleave,
 from .config import ExperimentConfig
 from .dnn import MlpParams
 from .features import row_permutation
-from .mitigation import (DetectorSettings, detect, detector_features,
+from .mitigation import (DetectorSettings, detector_features,
                          estimate_clean_power, mitigate)
 from .noise_models import BGNoise, MCANoise, NoiseSpec, SASNoise, sample_noise
 from .ofdm import (ChannelRealization, assemble_active, channel_apply,
@@ -73,7 +73,6 @@ DECODE_ROWS = 256
 # Seed-stream tags so different activities never share random draws.
 _TAG_SWEEP = 0
 _TAG_DATASET = 1
-_TAG_EVAL = 2
 _TAG_SHUFFLE = 3
 
 
@@ -314,36 +313,66 @@ class BerCurve:
 
 def _sweep_batch(cfg: ExperimentConfig, ebn0: float, point_idx: int,
                  batch_idx: int, names: Tuple[str, ...],
-                 settings: DetectorSettings, llrs: np.ndarray) -> np.ndarray:
+                 settings: DetectorSettings, llrs: np.ndarray,
+                 counts: np.ndarray) -> np.ndarray:
     """One sweep batch up to the decoder: writes each named policy's LLR
-    rows into ``llrs`` (policies, BATCH_SYMBOLS, 2 * n_data) and returns
+    rows into ``llrs`` (policies, BATCH_SYMBOLS, 2 * n_data) and its
+    flag counts into ``counts`` (see :func:`_sweep_chunk`), and returns
     the message bits.  A policy's cleaned stream is freed once its rows
     are written, and the batch on return."""
     rng = np.random.default_rng(np.random.SeedSequence(
         (cfg.seed, _TAG_SWEEP, point_idx, batch_idx)))
     batch = simulate_batch(cfg, ebn0, BATCH_SYMBOLS, rng)
-    cleaned = mitigate(batch.rx, names, settings)
-    for out in llrs:
-        out[...] = receive_llrs(cfg, batch, cleaned.pop(0))
+    outs = mitigate(batch.rx, names, settings)
+    _, flagged, hits = counts[:-2].reshape(3, -1)
+    for p, out in enumerate(llrs):
+        cleaned, mask = outs.pop(0)
+        out[...] = receive_llrs(cfg, batch, cleaned)
+        flagged[p] = np.count_nonzero(mask)
+        if batch.labels is not None:
+            hits[p] = np.count_nonzero(mask & batch.labels)
+    if batch.labels is not None:
+        counts[-2] = np.count_nonzero(batch.labels)
+        counts[-1] = batch.labels.size - counts[-2]
     return batch.tx_bits
 
 
 def _sweep_chunk(context: tuple, ebn0: float, point_idx: int, first: int,
                  count: int) -> np.ndarray:
-    """Bit errors, shape (count, policies), of the grid point's batches
-    ``first`` to ``first + count - 1`` of the sweep ``context`` (cfg, names,
-    settings), from one decoder call for all of them.  The batches write
-    their LLR rows into one array made up front, so no rows are held
-    twice."""
+    """Counts of the grid point's batches ``first`` to ``first + count - 1``
+    of the sweep ``context`` (cfg, names, settings), from one decoder call
+    for all of them: an int64 (count, 3 * policies + 2) array whose row per
+    batch holds every policy's bit errors, then flagged samples, then
+    flagged impulses, then the batch's impulse and clean sample counts
+    (zero for stable noise, which has no labels).  The batches write their
+    LLR rows into one array made up front, so no rows are held twice."""
     cfg, names, settings = context
     tx_bits = np.empty((count, BATCH_SYMBOLS, bits_per_symbol(cfg)), np.uint8)
     llrs = np.empty((count, len(names), BATCH_SYMBOLS, 2 * cfg.ofdm.n_data))
+    counts = np.zeros((count, 3 * len(names) + 2), np.int64)
     for i in range(count):
         tx_bits[i] = _sweep_batch(cfg, ebn0, point_idx, first + i, names,
-                                  settings, llrs[i])
+                                  settings, llrs[i], counts[i])
     decoded = viterbi_decode_soft(llrs.reshape(-1, llrs.shape[-1]))
-    return np.count_nonzero(decoded.reshape(llrs.shape[:3] + (-1,))
-                            != tx_bits[:, None], axis=(2, 3))
+    counts[:, :len(names)] = np.count_nonzero(
+        decoded.reshape(llrs.shape[:3] + (-1,)) != tx_bits[:, None],
+        axis=(2, 3))
+    return counts
+
+
+def _rate_tokens(names: Tuple[str, ...], totals: np.ndarray) -> str:
+    """Log tokens of a point's summed :func:`_sweep_chunk` counts: the
+    impulse and clean sample counts, then each policy's detection rate
+    (flagged impulses per impulse) and false-alarm rate (flagged clean
+    samples per clean sample), ``none`` left out; empty without labels."""
+    impulses, clean = totals[-2:].tolist()
+    if impulses + clean == 0:
+        return ""
+    _, flagged, hits = totals[:-2].reshape(3, -1).tolist()
+    rate = lambda num, den: f"{num / den if den else math.nan:.6g}"
+    return f" impulses={impulses} clean={clean}" + "".join(
+        f" {name}.det={rate(hit, impulses)} {name}.fa={rate(flags - hit, clean)}"
+        for name, flags, hit in zip(names, flagged, hits) if name != "none")
 
 
 def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
@@ -380,9 +409,11 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
     so a chunk sends only its Eb/N0, grid point and batch range.  Errors
     are counted and the stop rule checked batch by batch in index order,
     so the curves do not depend on the CPU count and equal those of one
-    decode per batch.  Chunks in flight past the stop are discarded: a
-    worker's discarded reply is dropped before its next one, and a worker
-    still running one when the sweep ends is terminated.
+    decode per batch; so do the detection and false-alarm rates that end
+    each point's ``log`` line (:func:`_rate_tokens`).  Chunks in flight
+    past the stop are discarded: a worker's discarded reply is dropped
+    before its next one, and a worker still running one when the sweep
+    ends is terminated.
     """
     batch_bits = BATCH_SYMBOLS * bits_per_symbol(cfg)
     curves = {name: BerCurve(detector=name, points=[],
@@ -396,7 +427,8 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
     pool = None
     try:
         for point_idx, ebn0 in enumerate(cfg.ebn0_db):
-            errors = np.zeros(len(names), dtype=np.int64)
+            totals = np.zeros(3 * len(names) + 2, dtype=np.int64)
+            errors = totals[:len(names)]        # a view: follows totals
             counted = dispatched = decodes = 0
             pending = deque()       # (chunk arguments, pool ticket or None)
             stopped = False
@@ -426,9 +458,9 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
                     dispatched += chunk
                     decodes += 1
                 args, ticket = pending.popleft()
-                for batch_errors in (_sweep_chunk(context, *args)
+                for batch_counts in (_sweep_chunk(context, *args)
                                      if ticket is None else pool.result(ticket)):
-                    errors += batch_errors
+                    totals += batch_counts
                     counted += 1
                     stopped = (counted == budget
                                or errors.min() >= cfg.min_errors)
@@ -443,7 +475,8 @@ def ber_sweep(cfg: ExperimentConfig, params: Optional[MlpParams] = None,
                 summary = " ".join(f"{n}={c / bits:.3g}"
                                    for n, c in zip(names, counts))
                 log(f"ebn0={ebn0:g} dB bits={bits} decodes={decodes} "
-                    f"discarded={dispatched - counted} {summary}")
+                    f"discarded={dispatched - counted} {summary}"
+                    + _rate_tokens(names, totals))
     finally:
         if pool is not None:
             pool.close()
@@ -462,77 +495,37 @@ def write_curve_csv(path, curve: BerCurve) -> None:
 
 
 def read_curve_csv(path) -> BerCurve:
-    """Inverse of :func:`write_curve_csv`."""
-    meta = {}
-    points = []
-    detector = ""
+    """Inverse of :func:`write_curve_csv`.  A file without a header or rows,
+    with a malformed row, or whose rows name more than one detector raises
+    a ValueError naming it, and the line where there is one."""
+    meta, points, detectors = {}, [], set()
+    header_seen = False
     with open(path, "r", encoding="ascii") as fh:
-        header_seen = False
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 meta[key.strip()] = value.strip()
-                continue
-            if not header_seen:
+            elif line and not header_seen:
                 if line != "ebn0_db,detector,ber,bits,errors":
-                    raise ValueError(f"unexpected curve header: {line!r}")
+                    raise ValueError(f"{path}, line {line_no}: "
+                                     f"unexpected curve header: {line!r}")
                 header_seen = True
-                continue
-            ebn0, detector, ber, nbits, nerr = line.split(",")
-            points.append(BerPoint(float(ebn0), float(ber), int(nbits), int(nerr)))
+            elif line:
+                try:
+                    ebn0, detector, ber, nbits, nerr = line.split(",")
+                    points.append(BerPoint(float(ebn0), float(ber), int(nbits),
+                                           int(nerr)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {line_no}: {exc}") from None
+                detectors.add(detector)
     if not header_seen:
-        raise ValueError("curve file has no header line")
-    return BerCurve(detector=detector, points=points,
+        raise ValueError(f"{path}: curve file has no header line")
+    if not points:
+        raise ValueError(f"{path}: curve file has no rows")
+    if len(detectors) > 1:
+        raise ValueError(f"{path}: rows name more than one detector: "
+                         f"{', '.join(sorted(detectors))}")
+    return BerCurve(detector=detectors.pop(), points=points,
                     config_hash=meta.get("config_hash", ""),
                     seed=int(meta.get("seed", "0")))
-
-
-# ---------------------------------------------------------------------------
-# Detector operating-point evaluation
-
-
-@dataclass
-class DetectionReport:
-    """Sample-level detector rates over simulated receiver streams."""
-
-    detection_rate: float
-    false_alarm_rate: float
-    missed_rate: float
-    n_impulse: int
-    n_clean: int
-
-
-def detection_rates(cfg: ExperimentConfig, kind: str, ebn0_db: float,
-                    n_symbols: int = 200,
-                    params: Optional[MlpParams] = None) -> DetectionReport:
-    """Measure the ``"threshold"`` or ``"dnn"`` detector's
-    detection/false-alarm/miss rates on labeled noise.
-
-    Raises:
-        ValueError: For stable noise, which carries no ground-truth labels.
-    """
-    settings = DetectorSettings(cfg.p_fa, params, cfg.half_width)
-    hits = misses = false_alarms = clean = 0
-    for batch_idx, done in enumerate(range(0, n_symbols, BATCH_SYMBOLS)):
-        count = min(BATCH_SYMBOLS, n_symbols - done)
-        rng = np.random.default_rng(np.random.SeedSequence(
-            (cfg.seed, _TAG_EVAL, batch_idx)))
-        batch = simulate_batch(cfg, ebn0_db, count, rng)
-        if batch.labels is None:
-            raise ValueError("stable noise has no impulse labels to score against")
-        mask = detect(batch.rx, kind, settings, estimate_clean_power(batch.rx))
-        impulse = batch.labels == 1
-        hits += int(np.sum(mask[impulse] == 1))
-        misses += int(np.sum(mask[impulse] == 0))
-        false_alarms += int(np.sum(mask[~impulse] == 1))
-        clean += int(np.sum(~impulse))
-    n_impulse = hits + misses
-    detection = hits / n_impulse if n_impulse else float("nan")
-    return DetectionReport(
-        detection_rate=detection,
-        false_alarm_rate=false_alarms / clean if clean else float("nan"),
-        missed_rate=1.0 - detection if n_impulse else float("nan"),
-        n_impulse=n_impulse, n_clean=clean)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,7 +126,7 @@ def detect(samples: np.ndarray, kind: str, settings: DetectorSettings,
 
 
 def mitigate(samples: np.ndarray, names: Sequence[str],
-             settings: DetectorSettings) -> List[np.ndarray]:
+             settings: DetectorSettings) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Clean blocks under each named policy; the input is never modified.
 
     One pass serves every name: the per-block power is estimated once and
@@ -134,27 +134,30 @@ def mitigate(samples: np.ndarray, names: Sequence[str],
     mask, which ``clp`` clamps onto the level.
 
     Returns:
-        One cleaned complex array per name, in order.
+        One (cleaned complex array, boolean flag mask) pair per name, in
+        order, both of the input's shape: ``bln`` and ``clp`` carry the
+        threshold mask, ``dnn`` the network's, ``none`` one of all False.
     """
     for name in names:
         if name not in POLICY_NAMES:
             raise ValueError(f"unknown policy {name!r}")
     finite = np.where(np.isfinite(samples), samples, 0)
+    masks = {"none": np.zeros(finite.shape, bool)}
     if set(names) - {"none"}:
         power = estimate_clean_power(finite)
     if "dnn" in names:
-        network = detect(finite, "dnn", settings, power).astype(bool)
+        masks["dnn"] = detect(finite, "dnn", settings, power).astype(bool)
     if "bln" in names or "clp" in names:
-        over = detect(finite, "threshold", settings, power).astype(bool)
+        masks["bln"] = masks["clp"] = detect(finite, "threshold", settings,
+                                             power).astype(bool)
     outs = []
     for name in names:
-        if name in ("bln", "dnn"):
-            mask = over if name == "bln" else network
-            outs.append(np.where(mask, 0.0 + 0.0j, finite))
-            continue
-        out = finite.astype(complex, copy=True)
+        mask = masks[name]
         if name == "clp":
+            out = finite.astype(complex, copy=True)
             level = np.broadcast_to(_level(power, settings.p_fa), finite.shape)
-            out[over] *= level[over] / np.abs(finite)[over]
-        outs.append(out)
+            out[mask] *= level[mask] / np.abs(finite)[mask]
+        else:
+            out = np.where(mask, 0.0 + 0.0j, finite)
+        outs.append((out, mask))
     return outs

@@ -361,17 +361,15 @@ def test_criterion_6_every_subcommand_is_deterministic(tmp_path, capsys):
     assert (a / "model.txt").read_bytes() == (b / "model.txt").read_bytes()
     assert (a / "loss.csv").read_bytes() == (b / "loss.csv").read_bytes()
 
-    # evaluate writes no files; its report on stdout must still reproduce.
-    reports = []
-    for _ in range(2):
+    # The sweep's log lines, with their detection and false-alarm rates,
+    # must reproduce as well as its curves.
+    logs = []
+    for d in (a, b):
         capsys.readouterr()
-        assert cli(["evaluate", "--config", str(cfg), "--seed", "1",
-                    "--detector", "threshold", "--symbols", "16"]) == 0
-        reports.append(capsys.readouterr().out)
-    assert reports[0] == reports[1] and "detection_rate=" in reports[0]
-
-    twice(lambda d: ["ber-sweep", "--config", cfg, "--seed", 1,
-                     "--out", d / "curves"])
+        assert cli(["ber-sweep", "--config", str(cfg), "--seed", "1",
+                    "--out", str(d / "curves")]) == 0
+        logs.append(capsys.readouterr().err)
+    assert logs[0] == logs[1] and "bln.det=" in logs[0] and "bln.fa=" in logs[0]
     for name in ("curve_none.csv", "curve_bln.csv"):
         assert (a / "curves" / name).read_bytes() == \
             (b / "curves" / name).read_bytes()
@@ -380,5 +378,5 @@ def test_criterion_6_every_subcommand_is_deterministic(tmp_path, capsys):
                      "--out", d / "merged.csv"])
     assert (a / "merged.csv").read_bytes() == (b / "merged.csv").read_bytes()
 
-    print("criterion 6 PASS - gen-dataset/train/evaluate/ber-sweep/"
-          "plot-data byte-identical under fixed --seed")
+    print("criterion 6 PASS - gen-dataset/train/ber-sweep/plot-data "
+          "byte-identical under fixed --seed")

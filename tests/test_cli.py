@@ -282,62 +282,6 @@ def test_plot_data_missing_output_directory_exits_2_before_reading(
 
 
 # ---------------------------------------------------------------------------
-# evaluate
-
-
-def test_evaluate_threshold_detector_prints_rates(cfg_file, capsys):
-    rc = run_cli("evaluate", "--config", cfg_file, "--detector", "threshold",
-                 "--epsilon", 0.1, "--ebn0", 10, "--symbols", 32)
-    assert rc == 0
-    out = capsys.readouterr().out
-    for field in ("detection_rate=", "false_alarm_rate=",
-                  "missed_detection_rate=", "impulse_samples="):
-        assert field in out
-
-
-def test_evaluate_network_detector(trained_model, cfg_file, capsys):
-    rc = run_cli("evaluate", "--config", cfg_file, "--detector", "dnn",
-                 "--model", trained_model, "--ebn0", 10, "--symbols", 16)
-    assert rc == 0
-    assert "detection_rate=" in capsys.readouterr().out
-
-
-def test_evaluate_output_is_deterministic(cfg_file, capsys):
-    args = ("evaluate", "--config", cfg_file, "--detector", "threshold",
-            "--symbols", 16)
-    run_cli(*args)
-    first = capsys.readouterr().out
-    run_cli(*args)
-    assert capsys.readouterr().out == first
-
-
-@pytest.mark.parametrize("value", ["nan", "4000", "inf"])
-def test_evaluate_ebn0_is_checked_as_a_grid_point(cfg_file, capsys, value):
-    # nan printed a detection rate of 0 and exited 0, 4000 died with
-    # OverflowError, and inf failed naming no argument.
-    rc = run_cli("evaluate", "--config", cfg_file, "--detector", "threshold",
-                 "--ebn0", value, "--symbols", 4)
-    assert rc == 2
-    assert "config key 'grid.ebn0_db'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", [0, -3])
-def test_evaluate_symbols_below_one_names_the_flag(cfg_file, capsys, value):
-    # These printed nan rates and exited 0.
-    rc = run_cli("evaluate", "--config", cfg_file, "--detector", "threshold",
-                 "--symbols", value)
-    assert rc == 2
-    assert "--symbols" in capsys.readouterr().err
-
-
-def test_evaluate_dnn_without_model_fails_with_diagnostic(cfg_file, capsys):
-    rc = run_cli("evaluate", "--config", cfg_file, "--detector", "dnn",
-                 "--symbols", 4)
-    assert rc == 2
-    assert "--model" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
 # ber-sweep and plot-data
 
 
@@ -351,13 +295,34 @@ def test_ber_sweep_writes_one_csv_per_policy(cfg_file, tmp_path, capsys):
     assert curve.seed == 0
 
 
-def test_ber_sweep_reruns_are_byte_identical(cfg_file, tmp_path):
+def test_ber_sweep_reruns_are_byte_identical(cfg_file, tmp_path, capsys):
     out1 = tmp_path / "c1"
     out2 = tmp_path / "c2"
-    run_cli("ber-sweep", "--config", cfg_file, "--out", out1)
-    run_cli("ber-sweep", "--config", cfg_file, "--out", out2)
+    logs = []
+    for out in (out1, out2):
+        run_cli("ber-sweep", "--config", cfg_file, "--out", out)
+        logs.append(capsys.readouterr().err)
     for name in ("curve_none.csv", "curve_bln.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert logs[0] == logs[1] and "bln.det=" in logs[0]
+
+
+def test_ber_sweep_log_prints_rate_tokens(cfg_file, tmp_path, capsys):
+    rc = run_cli("ber-sweep", "--config", cfg_file, "--set", "noise.epsilon=0.1",
+                 "--out", tmp_path / "c")
+    assert rc == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2      # one per grid point
+    for line in lines:
+        keys = [field.split("=")[0] for field in line.split()[5:]]
+        assert keys == ["none", "bln", "impulses", "clean", "bln.det", "bln.fa"]
+
+
+def test_deleted_evaluate_subcommand_is_rejected(cfg_file, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("evaluate", "--config", cfg_file)
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'evaluate'" in capsys.readouterr().err
 
 
 def test_ber_sweep_network_policy_needs_model(cfg_file, tmp_path, capsys):
@@ -367,13 +332,15 @@ def test_ber_sweep_network_policy_needs_model(cfg_file, tmp_path, capsys):
     assert "model" in capsys.readouterr().err
 
 
-def test_ber_sweep_with_trained_model(trained_model, cfg_file, tmp_path):
+def test_ber_sweep_with_trained_model(trained_model, cfg_file, tmp_path,
+                                     capsys):
     out = tmp_path / "curves"
     rc = run_cli("ber-sweep", "--config", cfg_file, "--model", trained_model,
                  "--set", "sweep.policies=dnn,bln",
                  "--set", "sweep.max_bits=3000", "--out", out)
     assert rc == 0
     assert (out / "curve_dnn.csv").exists()
+    assert "dnn.det=" in capsys.readouterr().err
 
 
 def test_channel_that_never_fits_the_prefix_names_its_keys(cfg_file, tmp_path,
@@ -427,6 +394,34 @@ def test_plot_data_rejects_mixed_configs(tmp_path, capsys):
                                         + body.format(d="b"))
     assert run_cli("plot-data", "--curves", curves, "--out", tmp_path / "t.csv") == 2
     assert "different configs" in capsys.readouterr().err
+
+
+def test_plot_data_onto_one_of_its_curves_exits_2_before_writing(
+        cfg_file, tmp_path, capsys):
+    # plot-data replaced the curve with the merged table and exited 0.
+    curves = tmp_path / "curves"
+    run_cli("ber-sweep", "--config", cfg_file, "--out", curves)
+    before = (curves / "curve_bln.csv").read_bytes()
+    capsys.readouterr()
+    rc = run_cli("plot-data", "--curves", curves,
+                 "--out", curves / "curve_bln.csv")
+    assert rc == 2
+    assert "same file as the input" in capsys.readouterr().err
+    assert (curves / "curve_bln.csv").read_bytes() == before
+
+
+def test_plot_data_rejects_two_curves_of_one_detector(tmp_path, capsys):
+    # The header read ebn0_db,bln,bln and one file's 12 dB point was lost.
+    curves = tmp_path / "curves"
+    curves.mkdir()
+    head = "# config_hash=aaa\n# seed=0\nebn0_db,detector,ber,bits,errors\n"
+    (curves / "curve_a.csv").write_text(head + "10,bln,0.1,100,10\n")
+    (curves / "curve_b.csv").write_text(head + "12,bln,0.01,100,1\n")
+    out = tmp_path / "t.csv"
+    assert run_cli("plot-data", "--curves", curves, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "curve_a.csv" in err and "curve_b.csv" in err and "'bln'" in err
+    assert not out.exists()
 
 
 def test_plot_data_empty_directory_fails(tmp_path, capsys):
@@ -642,13 +637,12 @@ def test_infinite_impulse_power_exits_2(cfg_file, tmp_path, capsys, command,
 
 @pytest.mark.parametrize("command, args", [
     ("ber-sweep", ["--set", "sweep.max_bits=1", "--out", "curves"]),
-    ("evaluate", ["--detector", "threshold", "--symbols", "32"]),
 ])
 @pytest.mark.parametrize("gamma", ["5e-324", "1e-310"])
 def test_infinite_class_a_noise_power_exits_2(cfg_file, tmp_path, monkeypatch,
                                               capsys, command, args, gamma):
     # gamma passes its > 0 load check, but N0 (1 + gamma) / gamma overflows:
-    # ber-sweep wrote BER 0.5 curves and evaluate a detection rate of 0.
+    # ber-sweep wrote BER 0.5 curves.
     monkeypatch.chdir(tmp_path)
     rc = run_cli(command, "--config", cfg_file, "--set", "noise.model=mca",
                  "--set", f"noise.gamma={gamma}", "--set", "grid.ebn0_db=10",
@@ -678,7 +672,6 @@ SHIPPED_MODEL = Path(__file__).resolve().parent.parent / "models" / "detector.tx
 ], ids=["empty", "first-line", "normalizer-only"])
 @pytest.mark.parametrize("command, args", [
     ("ber-sweep", ["--set", "sweep.policies=dnn", "--out", "curves"]),
-    ("evaluate", ["--detector", "dnn", "--symbols", "4"]),
 ])
 def test_truncated_model_file_exits_2(cfg_file, tmp_path, monkeypatch, capsys,
                                       command, args, keep, missing):
@@ -700,13 +693,11 @@ _NON_FINITE = [(5, 0, "nan", "'norm_std'"), (7, 1, "inf", "'w1'")]
                          ids=["nan-norm-std", "inf-w1"])
 @pytest.mark.parametrize("command, args", [
     ("ber-sweep", ["--set", "sweep.policies=dnn", "--out", "curves"]),
-    ("evaluate", ["--detector", "dnn", "--symbols", "4"]),
 ])
 def test_non_finite_model_file_exits_2(cfg_file, tmp_path, monkeypatch, capsys,
                                        command, args, line, token, value,
                                        block):
-    # Each of these ran: evaluate reported a detection rate of 0, and
-    # ber-sweep wrote dnn curves in which nothing was blanked.
+    # These ran: ber-sweep wrote dnn curves in which nothing was blanked.
     monkeypatch.chdir(tmp_path)
     lines = SHIPPED_MODEL.read_text().splitlines()
     tokens = lines[line].split()

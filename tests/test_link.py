@@ -28,7 +28,7 @@ import pytest
 from inofdm import config as config_mod
 from inofdm import dnn, link, workers
 from inofdm.coding import viterbi_decode_soft
-from inofdm.mitigation import (DetectorSettings, detector_features,
+from inofdm.mitigation import (DetectorSettings, detect, detector_features,
                                estimate_clean_power, mitigate)
 from inofdm.noise_models import BGNoise, MCANoise, SASNoise, sample_noise
 
@@ -55,7 +55,7 @@ def default_config(**overrides):
 def cleaned(cfg, batch, name, params=None):
     """One policy's mitigated receiver samples of a batch, mitigated alone."""
     settings = DetectorSettings(cfg.p_fa, params, cfg.half_width)
-    return mitigate(batch.rx, (name,), settings)[0]
+    return mitigate(batch.rx, (name,), settings)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def test_none_policy_takes_an_inf_sample_through_the_receiver(chain):
     settings = DetectorSettings(cfg.p_fa, None, cfg.half_width)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = mitigate(stream, ("none",), settings)[0]
+        out = mitigate(stream, ("none",), settings)[0][0]
         decoded = viterbi_decode_soft(link.receive_llrs(cfg, batch, out))
     assert out[0, 40] == 0 and np.isfinite(out).all()
     assert np.array_equal(decoded[1:], batch.tx_bits[1:])
@@ -487,7 +487,7 @@ def reference_ber_sweep(cfg, params=None):
                 (cfg.seed, link._TAG_SWEEP, point_idx, batch_idx)))
             batch = link.simulate_batch(cfg, ebn0, link.BATCH_SYMBOLS, rng)
             decoded = viterbi_decode_soft(np.concatenate(
-                [link.receive_llrs(cfg, batch, stream) for stream in
+                [link.receive_llrs(cfg, batch, stream) for stream, _ in
                  mitigate(batch.rx, names, settings)]))
             for name, policy_bits in zip(names, np.split(decoded, len(names))):
                 errors[name] += int(np.sum(policy_bits != batch.tx_bits))
@@ -650,8 +650,9 @@ def test_sweep_does_not_depend_on_the_cpu_count(monkeypatch, chain, case,
     for cpus in (2, 3):
         curves, lines, pools = _sweep_on(monkeypatch, cpus, cfg, params)
         assert curves == one, cpus
-        assert [line.split()[2] for line in lines] == \
-            [line.split()[2] for line in one_lines], cpus
+        # Bits, BERs and rate tokens; decodes and discards may differ.
+        assert [line.split()[2:3] + line.split()[5:] for line in lines] == \
+            [line.split()[2:3] + line.split()[5:] for line in one_lines], cpus
         assert pools == ([(cpus, "fork")] if forks else []), cpus
 
 
@@ -679,7 +680,8 @@ class WorkerFailure(Exception):
 def test_worker_exception_reaches_the_caller(monkeypatch, cpus):
     # One policy and four batches: on two CPUs, batches 2-3 are the second
     # worker's chunk.
-    def failing(cfg, ebn0, point_idx, batch_idx, names, settings, llrs):
+    def failing(cfg, ebn0, point_idx, batch_idx, names, settings, llrs,
+                counts):
         raise WorkerFailure(f"batch {batch_idx}")
     real_sweep_batch = link._sweep_batch
     monkeypatch.setattr(link, "_sweep_batch", lambda *args: (
@@ -987,6 +989,40 @@ def test_curve_csv_rejects_foreign_header(tmp_path):
         link.read_curve_csv(path)
 
 
+_CURVE_HEAD = "# config_hash=abc\n# seed=0\nebn0_db,detector,ber,bits,errors\n"
+
+
+def curve_error(path, text):
+    """The message of the ValueError that reading ``text`` raises."""
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc_info:
+        link.read_curve_csv(path)
+    return str(exc_info.value)
+
+
+def test_malformed_curve_row_names_file_and_line(tmp_path):
+    # The error read only "not enough values to unpack (expected 5, got 3)".
+    path = tmp_path / "curve_bln.csv"
+    assert curve_error(path, _CURVE_HEAD + "10,bln,0.1,100,10\n\n12,bln,0.01\n"
+                       ).startswith(f"{path}, line 6: not enough values")
+    assert curve_error(path, _CURVE_HEAD + "10,bln,x,100,10\n").startswith(
+        f"{path}, line 4: could not convert")
+
+
+def test_curve_rows_of_two_detectors_are_rejected(tmp_path):
+    # The detector was taken from the last row only.
+    path = tmp_path / "curve_bln.csv"
+    assert curve_error(path, _CURVE_HEAD + "10,dnn,0.1,100,10\n"
+                       "12,bln,0.01,100,1\n") == \
+        f"{path}: rows name more than one detector: bln, dnn"
+
+
+def test_curve_file_without_rows_is_rejected(tmp_path):
+    # A header-only file gave a curve of detector "".
+    path = tmp_path / "curve_bln.csv"
+    assert curve_error(path, _CURVE_HEAD) == f"{path}: curve file has no rows"
+
+
 def test_ber_at_unknown_point_raises():
     curve = link.BerCurve("bln", [link.BerPoint(10.0, 1e-3, 1000, 1)], "", 0)
     assert curve.ber_at(10.0) == 1e-3
@@ -995,29 +1031,92 @@ def test_ber_at_unknown_point_raises():
 
 
 # ---------------------------------------------------------------------------
-# detector scoring
+# detection and false-alarm rates in the sweep log
 
 
-def test_detection_rates_consistency():
-    cfg = default_config()
+def rate_tokens(line):
+    """The ``key=value`` tokens after a sweep log line's policy BERs."""
+    tokens = dict(t.split("=") for t in line.split()[5:])
+    return {k: v for k, v in tokens.items() if k in ("impulses", "clean")
+            or k.endswith((".det", ".fa"))}
+
+
+def test_sweep_rate_tokens_consistency():
+    # Two full-size batches (666 information bits a symbol) at 10 dB.
+    cfg = default_config(**{"grid.ebn0_db": "10", "sweep.policies": "bln",
+                            "sweep.min_errors": 10 ** 9,
+                            "sweep.max_bits": 2 * link.BATCH_SYMBOLS * 666})
     assert cfg.p_fa == 0.01
-    report = link.detection_rates(cfg, "threshold", 10.0, n_symbols=64)
-    assert report.n_impulse + report.n_clean == 64 * 1024
-    assert report.detection_rate + report.missed_rate == pytest.approx(1.0)
+    lines = []
+    link.ber_sweep(cfg, log=lines.append)
+    tokens = rate_tokens(lines[0])
+    assert int(tokens["impulses"]) + int(tokens["clean"]) == 64 * 1024
     # BG impulses at SIR 0 dB tower over the signal; most are caught, and the
     # robust per-block level keeps false alarms near the requested rate.
-    assert 0.6 < report.detection_rate < 0.95
-    assert 0.003 < report.false_alarm_rate < 0.02
+    assert 0.6 < float(tokens["bln.det"]) < 0.95
+    assert 0.003 < float(tokens["bln.fa"]) < 0.02
 
 
-def test_detection_rates_are_deterministic():
-    cfg = small_config()
-    a = link.detection_rates(cfg, "threshold", 8.0, n_symbols=32)
-    b = link.detection_rates(cfg, "threshold", 8.0, n_symbols=32)
-    assert a == b
+@pytest.mark.parametrize("chain", [{}, _TIME_INTERLEAVED],
+                         ids=["plain", "time_interleaved"])
+def test_rate_tokens_equal_detect_masks_against_labels(monkeypatch, chain):
+    # Oracle: the threshold and network detectors run on each counted
+    # batch's samples, their masks scored against the batch's labels.  On
+    # one CPU the 14 dB point stops inside a chunk, whose last batch is
+    # discarded: its flags must not count.  The rates on more CPUs are
+    # those on one (test_sweep_does_not_depend_on_the_cpu_count).
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+    params = dnn.load_model(MODEL_PATH)
+    cfg = small_config(**chain, **{
+        "noise.epsilon": 0.05, "grid.ebn0_db": "10,14",
+        "sweep.policies": "none,bln,clp,dnn", "sweep.min_errors": 60,
+        "sweep.max_bits": 200_000})
+    settings = DetectorSettings(cfg.p_fa, params, cfg.half_width)
+    lines = []
+    curves = link.ber_sweep(cfg, params, log=lines.append)
+    batches = set()
+    for point_idx, (ebn0, line) in enumerate(zip(cfg.ebn0_db, lines)):
+        n_batches = curves["none"].points[point_idx].bits // _SMALL_BATCH_BITS
+        batches.add(n_batches)
+        impulses = clean = 0
+        hits = dict.fromkeys(("threshold", "dnn"), 0)
+        false_alarms = dict.fromkeys(("threshold", "dnn"), 0)
+        for batch_idx in range(n_batches):
+            rng = np.random.default_rng(np.random.SeedSequence(
+                (cfg.seed, link._TAG_SWEEP, point_idx, batch_idx)))
+            batch = link.simulate_batch(cfg, ebn0, link.BATCH_SYMBOLS, rng)
+            impulse = batch.labels == 1
+            impulses += int(impulse.sum())
+            clean += int((~impulse).sum())
+            for kind in hits:
+                mask = detect(batch.rx, kind, settings,
+                              estimate_clean_power(batch.rx)) == 1
+                hits[kind] += int((mask & impulse).sum())
+                false_alarms[kind] += int((mask & ~impulse).sum())
+        tokens = rate_tokens(line)
+        assert (int(tokens["impulses"]), int(tokens["clean"])) == \
+            (impulses, clean)
+        assert impulses + clean == n_batches * link.BATCH_SYMBOLS * (
+            cfg.ofdm.symbol_len if chain else cfg.ofdm.n_fft)
+        assert "none.det" not in tokens and "none.fa" not in tokens
+        for name, kind in (("bln", "threshold"), ("clp", "threshold"),
+                           ("dnn", "dnn")):
+            # Six significant digits pin each count exactly.
+            assert round(float(tokens[f"{name}.det"]) * impulses) == \
+                hits[kind], name
+            assert round(float(tokens[f"{name}.fa"]) * clean) == \
+                false_alarms[kind], name
+        assert hits["threshold"] != hits["dnn"]   # a mask mix-up would show
+    assert len(batches) > 1
+    assert "discarded=1 " in lines[1]
 
 
-def test_detection_rates_refuse_unlabeled_noise():
-    cfg = small_config(**{"noise.model": "sas"})
-    with pytest.raises(ValueError):
-        link.detection_rates(cfg, "threshold", 10.0, n_symbols=4)
+def test_stable_noise_sweep_prints_no_rate_tokens():
+    # Stable noise has no impulse labels to score the masks against.
+    cfg = small_config(**{"noise.model": "sas", "grid.ebn0_db": "10",
+                          "sweep.policies": "none,bln,clp",
+                          "sweep.max_bits": 1})
+    lines = []
+    link.ber_sweep(cfg, log=lines.append)
+    fields = lines[0].split()
+    assert [f.split("=")[0] for f in fields[5:]] == ["none", "bln", "clp"]

@@ -53,8 +53,8 @@ def detect_alone(samples, kind, settings):
 
 
 def mitigate_one(samples, name, settings):
-    """One policy's output of :func:`mitigate`."""
-    return mitigate(samples, (name,), settings)[0]
+    """One policy's cleaned samples from :func:`mitigate`."""
+    return mitigate(samples, (name,), settings)[0][0]
 
 
 def shipped_settings():
@@ -444,10 +444,12 @@ def test_mitigate_returns_one_output_per_name_in_order():
     names = ("clp", "none", "bln", "dnn", "clp", "bln")
     outs = mitigate(blocks, names, settings)
     assert len(outs) == len(names)
-    for name, out in zip(names, outs):
-        assert np.array_equal(out, mitigate_one(blocks, name, settings))
-    assert np.array_equal(outs[2], outs[5])
-    assert np.array_equal(outs[0], outs[4])
+    for name, (out, mask) in zip(names, outs):
+        alone, alone_mask = mitigate(blocks, (name,), settings)[0]
+        assert np.array_equal(out, alone)
+        assert np.array_equal(mask, alone_mask)
+    assert np.array_equal(outs[2][0], outs[5][0])
+    assert np.array_equal(outs[0][0], outs[4][0])
     assert mitigate(blocks, (), settings) == []
 
 
@@ -478,7 +480,8 @@ def test_policies_handle_blocks_with_zero_median(name):
                                          ("dnn", 1), ("all", 1)])
 def test_mitigate_estimates_block_power_once(monkeypatch, name, calls):
     # Every policy shares one per-block median, each detector runs once, and
-    # each output equals suppression of a mask built by hand.
+    # each output equals suppression of a mask built by hand, which comes
+    # back with it: all False for none, the threshold mask for bln and clp.
     names = POLICY_NAMES if name == "all" else (name,)
     settings = shipped_settings()
     blocks = np.stack([rayleigh_block(42, 512), 30.0 * rayleigh_block(43, 512)])
@@ -511,8 +514,12 @@ def test_mitigate_estimates_block_power_once(monkeypatch, name, calls):
     assert seen == {"power": calls,
                     "threshold": int(bool({"bln", "clp"} & set(names))),
                     "dnn": int("dnn" in names)}
-    for n, out in zip(names, outs):
+    masks["none"] = np.zeros(blocks.shape, bool)
+    masks["bln"] = masks["clp"] = masks["threshold"]
+    for n, (out, mask) in zip(names, outs):
         assert np.array_equal(out, expected[n]), n
+        assert mask.dtype == bool and mask.shape == blocks.shape, n
+        assert np.array_equal(mask, masks[n]), n
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +533,7 @@ def test_detecting_policies_zero_non_finite_samples():
     blocks[0, 100] = np.inf
     blocks[1, 700] = np.nan
     outs = mitigate(blocks, POLICY_NAMES, shipped_settings())
-    for name, out in zip(POLICY_NAMES, outs):
+    for name, (out, _) in zip(POLICY_NAMES, outs):
         bad = (~np.isfinite(out)).sum(axis=1).tolist()
         assert bad == [0, 0], name
         assert out[0, 100] == 0 and out[1, 700] == 0
@@ -563,7 +570,8 @@ def test_non_finite_samples_come_out_zero(seed, injections):
     names = POLICY_NAMES[1:]
     settings = shipped_settings()
     outs = mitigate(hit, names, settings)
-    for name, out, base in zip(names, outs, mitigate(blocks, names, settings)):
+    for name, (out, _), (base, _) in zip(names, outs,
+                                         mitigate(blocks, names, settings)):
         assert np.all(np.isfinite(out)), name
         assert np.all(out[non_finite] == 0), name
         if name == "clp":
@@ -582,6 +590,6 @@ def test_block_whose_median_saturates_gets_infinite_power():
     power = estimate_clean_power(blocks)
     assert power[0] == np.inf and np.isfinite(power[1])
     assert power[1] == estimate_clean_power(blocks[1])
-    for name, out in zip(POLICY_NAMES, mitigate(blocks, POLICY_NAMES,
-                                                shipped_settings())):
+    for name, (out, _) in zip(POLICY_NAMES, mitigate(blocks, POLICY_NAMES,
+                                                     shipped_settings())):
         assert out[0].tobytes() == blocks[0].tobytes(), name
