@@ -295,15 +295,20 @@ def test_ber_sweep_writes_one_csv_per_policy(cfg_file, tmp_path, capsys):
     assert curve.seed == 0
 
 
-def test_ber_sweep_reruns_are_byte_identical(cfg_file, tmp_path, capsys):
+def test_ber_sweep_reruns_are_byte_identical(cfg_file, tmp_path):
     out1 = tmp_path / "c1"
     out2 = tmp_path / "c2"
-    logs = []
-    for out in (out1, out2):
-        run_cli("ber-sweep", "--config", cfg_file, "--out", out)
-        logs.append(capsys.readouterr().err)
+    run_cli("ber-sweep", "--config", cfg_file, "--out", out1)
+    run_cli("ber-sweep", "--config", cfg_file, "--out", out2)
     for name in ("curve_none.csv", "curve_bln.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_ber_sweep_log_lines_are_deterministic(cfg_file, tmp_path, capsys):
+    logs = []
+    for out in ("c1", "c2"):
+        run_cli("ber-sweep", "--config", cfg_file, "--out", tmp_path / out)
+        logs.append(capsys.readouterr().err)
     assert logs[0] == logs[1] and "bln.det=" in logs[0]
 
 
@@ -332,15 +337,37 @@ def test_ber_sweep_network_policy_needs_model(cfg_file, tmp_path, capsys):
     assert "model" in capsys.readouterr().err
 
 
-def test_ber_sweep_with_trained_model(trained_model, cfg_file, tmp_path,
-                                     capsys):
+def test_ber_sweep_without_model_names_flag_and_key(cfg_file, tmp_path,
+                                                   capsys):
+    out = tmp_path / "c"
+    rc = run_cli("ber-sweep", "--config", cfg_file,
+                 "--set", "sweep.policies=dnn,bln", "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--model" in err and "model.path" in err
+    assert not list(out.glob("curve_*.csv"))
+
+
+def test_ber_sweep_with_trained_model(trained_model, cfg_file, tmp_path):
     out = tmp_path / "curves"
     rc = run_cli("ber-sweep", "--config", cfg_file, "--model", trained_model,
                  "--set", "sweep.policies=dnn,bln",
                  "--set", "sweep.max_bits=3000", "--out", out)
     assert rc == 0
     assert (out / "curve_dnn.csv").exists()
-    assert "dnn.det=" in capsys.readouterr().err
+
+
+def test_ber_sweep_network_policy_prints_rate_tokens(trained_model, cfg_file,
+                                                     tmp_path, capsys):
+    rc = run_cli("ber-sweep", "--config", cfg_file, "--model", trained_model,
+                 "--set", "noise.epsilon=0.1", "--set", "sweep.policies=dnn",
+                 "--set", "sweep.max_bits=3000", "--out", tmp_path / "c")
+    assert rc == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2      # one per grid point
+    for line in lines:
+        keys = [field.split("=")[0] for field in line.split()[5:]]
+        assert keys == ["dnn", "impulses", "clean", "dnn.det", "dnn.fa"]
 
 
 def test_channel_that_never_fits_the_prefix_names_its_keys(cfg_file, tmp_path,
